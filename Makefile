@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt test race bench clean
+.PHONY: all build vet fmt test race bench bench-verify bench-sparsify bench-reconfigure bench-flood clean
 
 all: build vet fmt test
 
@@ -52,7 +52,8 @@ endef
 # bench runs the perf-trajectory series (exact verification and flooding at
 # n in {256, 1024, 4096}, the certified scale screen of a k-regular K-TREE
 # at the grid point nearest n = 10^6 with its prescreen/confirm phase split,
-# the steady-state 0-alloc probes, and their
+# the P4 all-sources distance sweep on K-TREE(4096,3) and K-DIAMOND(4096,4)
+# serial and with two workers, the steady-state 0-alloc probes, and their
 # metrics-enabled twins) into BENCH_verify.json, then the dense-fixture
 # full-vs-sparsified verification pair into BENCH_sparsify.json (the
 # artifact that tracks the sparse-certificate fast-path speedup), then the
@@ -61,23 +62,33 @@ endef
 # speedup under ~1% membership churn, and finally the E29 guarded-vs-
 # unguarded lossy-broadcast pair into BENCH_flood.json, which tracks the
 # message cost of storm control (frames_per_op against the static ceiling).
-bench:
+# Each ledger also has its own target (bench-verify, bench-sparsify,
+# bench-reconfigure, bench-flood).
+bench: bench-verify bench-sparsify bench-reconfigure bench-flood
+
+bench-verify:
 	$(GO) test -run '^$$' \
-		-bench '^(BenchmarkVerifySweep|BenchmarkVerifyMillionScreen|BenchmarkFlood|BenchmarkBFSSteadyState|BenchmarkEdgeProbeSteadyState|BenchmarkBFSSteadyStateMetricsOn|BenchmarkEdgeProbeSteadyStateMetricsOn)$$' \
+		-bench '^(BenchmarkVerifySweep|BenchmarkVerifyMillionScreen|BenchmarkDistanceStats|BenchmarkFlood|BenchmarkBFSSteadyState|BenchmarkEdgeProbeSteadyState|BenchmarkBFSSteadyStateMetricsOn|BenchmarkEdgeProbeSteadyStateMetricsOn)$$' \
 		-benchmem -benchtime=1x . | tee bench.out
 	@$(bench2json) bench.out > BENCH_verify.json
 	@rm -f bench.out
 	@echo "wrote BENCH_verify.json"
+
+bench-sparsify:
 	$(GO) test -run '^$$' -bench '^BenchmarkVerifyDense$$' \
 		-benchmem -benchtime=3x . | tee bench_sparsify.out
 	@$(bench2json) bench_sparsify.out > BENCH_sparsify.json
 	@rm -f bench_sparsify.out
 	@echo "wrote BENCH_sparsify.json"
+
+bench-reconfigure:
 	$(GO) test -run '^$$' -bench '^BenchmarkReconfigureVerify(Delta|Full)$$' \
 		-benchmem -benchtime=2x . | tee bench_reconfigure.out
 	@$(bench2json) bench_reconfigure.out > BENCH_reconfigure.json
 	@rm -f bench_reconfigure.out
 	@echo "wrote BENCH_reconfigure.json"
+
+bench-flood:
 	$(GO) test -run '^$$' -bench '^BenchmarkFloodCost(Guarded|Unguarded)$$' \
 		-benchmem -benchtime=3x . | tee bench_flood.out
 	@$(bench2json) bench_flood.out > BENCH_flood.json

@@ -152,6 +152,37 @@ func BenchmarkVerifySweep(b *testing.B) {
 	}
 }
 
+// BenchmarkDistanceStats is the P4 distance-phase series emitted into
+// BENCH_verify.json by `make bench`: one all-sources BFS sweep (diameter
+// and average path length, the lane kernel of internal/graph) on
+// K-TREE(4096,3) and K-DIAMOND(4096,4), serial and with the source
+// batches fanned across two workers.
+func BenchmarkDistanceStats(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		c    lhg.Constraint
+		k    int
+	}{{"ktree3", lhg.KTree, 3}, {"kdiamond4", lhg.KDiamond, 4}} {
+		g := buildOrFatal(b, tc.c, 4096, tc.k)
+		for _, workers := range []int{1, 2} {
+			variant := "serial"
+			if workers > 1 {
+				variant = fmt.Sprintf("workers=%d", workers)
+			}
+			b.Run(fmt.Sprintf("%s/n=4096/%s", tc.name, variant), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					diam, _, err := g.DistanceStatsCtx(context.Background(), workers)
+					if err != nil {
+						b.Fatal(err)
+					}
+					sinkInt = diam
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkVerifyMillionScreen is the scale-tier series emitted into
 // BENCH_verify.json by `make bench`: the certified screen (exact linear
 // checks + seeded Karger candidate cuts + sampled exact Dinic probes) over

@@ -120,12 +120,16 @@ func run(args []string, out io.Writer) error {
 			if err != nil {
 				return err
 			}
+			diam, _, err := g.DistanceStatsCtx(ctx, *workers)
+			if err != nil {
+				return err
+			}
 			row := []string{
 				c.String(),
 				strconv.Itoa(n),
 				strconv.Itoa(*k),
 				strconv.Itoa(g.Size()),
-				strconv.Itoa(g.DiameterParallel(*workers)),
+				strconv.Itoa(diam),
 				strconv.Itoa(res.Rounds),
 				strconv.Itoa(res.Messages),
 				strconv.Itoa(check.MooreDiameterLowerBound(n, *k)),

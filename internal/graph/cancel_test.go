@@ -8,18 +8,18 @@ import (
 )
 
 func denseFixture(n int) *Graph {
-	b := NewBuilder(n)
+	var es []Edge
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
 			if (u+v)%2 == 0 {
-				b.MustAddEdge(u, v)
+				es = append(es, Edge{U: u, V: v})
 			}
 		}
 	}
 	for v := 0; v+1 < n; v++ {
-		b.AddEdge(v, v+1)
+		es = append(es, Edge{U: v, V: v + 1})
 	}
-	return b.Freeze()
+	return MustFromEdges(n, es)
 }
 
 func TestDistanceStatsCtxPreCanceled(t *testing.T) {
@@ -32,12 +32,12 @@ func TestDistanceStatsCtxPreCanceled(t *testing.T) {
 	}
 }
 
-// TestDistanceStatsCtxCancelMidSweep: cancellation lands between per-source
-// BFS sweeps; a big sweep must stop early and report the context error, not
-// a bogus diameter.
+// TestDistanceStatsCtxCancelMidSweep: cancellation lands within a BFS
+// level; a big sweep must stop early and report the context error with
+// zeroed values, never a partial diameter.
 func TestDistanceStatsCtxCancelMidSweep(t *testing.T) {
-	g := denseFixture(1500) // ~1500 BFS sweeps over ~560k edges
-	for _, workers := range []int{1, 4} {
+	g := denseFixture(3000) // 12 lane batches over ~2.25M edges
+	for _, workers := range []int{1, 2, 4, 8} {
 		ctx, cancel := context.WithCancel(context.Background())
 		canceledAt := make(chan time.Time, 1)
 		go func() {
@@ -45,7 +45,7 @@ func TestDistanceStatsCtxCancelMidSweep(t *testing.T) {
 			canceledAt <- time.Now()
 			cancel()
 		}()
-		_, _, err := g.DistanceStatsCtx(ctx, workers)
+		diam, avg, err := g.DistanceStatsCtx(ctx, workers)
 		overstay := time.Since(<-canceledAt)
 		cancel()
 		if err == nil {
@@ -53,6 +53,9 @@ func TestDistanceStatsCtxCancelMidSweep(t *testing.T) {
 		}
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
+		}
+		if diam != 0 || avg != 0 {
+			t.Fatalf("workers=%d: canceled sweep returned values (%d, %v)", workers, diam, avg)
 		}
 		if overstay > 100*time.Millisecond {
 			t.Fatalf("workers=%d: sweep returned %v after cancellation, want <= 100ms", workers, overstay)
@@ -64,7 +67,10 @@ func TestDistanceStatsCtxCancelMidSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantDiam, _ := denseFixture(20).DistanceStats(1)
+	wantDiam, _, err := denseFixture(20).DistanceStatsCtx(context.Background(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if diam != wantDiam {
 		t.Fatalf("post-cancellation diameter = %d, want %d", diam, wantDiam)
 	}

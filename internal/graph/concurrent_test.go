@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"context"
 	"sync"
 	"testing"
 )
@@ -39,20 +40,27 @@ func TestFrozenGraphConcurrentReaders(t *testing.T) {
 	wg.Wait()
 }
 
-// TestParallelSweepMatchesSerial cross-checks the parallel all-sources
+// TestParallelSweepMatchesSerial cross-checks the fanned-out all-sources
 // distance sweep against the serial one on a batch of random graphs,
 // including disconnected ones.
 func TestParallelSweepMatchesSerial(t *testing.T) {
+	ctx := context.Background()
 	for seed := uint64(1); seed < 12; seed++ {
 		g := randomGraph(40, seed)
-		wantDiam, wantAvg := g.DistanceStats(1)
-		gotDiam, gotAvg := g.DistanceStats(8)
+		wantDiam, wantAvg, err := g.DistanceStatsCtx(ctx, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotDiam, gotAvg, err := g.DistanceStatsCtx(ctx, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if wantDiam != gotDiam || wantAvg != gotAvg {
 			t.Fatalf("seed %d: parallel stats (%d,%v) != serial (%d,%v)",
 				seed, gotDiam, gotAvg, wantDiam, wantAvg)
 		}
-		if got := g.DiameterParallel(8); got != g.Diameter() {
-			t.Fatalf("seed %d: DiameterParallel = %d, Diameter = %d", seed, got, g.Diameter())
+		if gotDiam != g.Diameter() {
+			t.Fatalf("seed %d: parallel diameter = %d, Diameter = %d", seed, gotDiam, g.Diameter())
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"context"
 	"encoding/json"
 	"testing"
 )
@@ -8,7 +9,8 @@ import (
 // FuzzGraphOps replays an arbitrary byte string as a sequence of builder
 // mutations and asserts the structural invariants of the frozen view after
 // every operation: the handshake identity, sorted adjacency, and symmetric
-// edges.
+// edges. It also cross-checks the lane-kernel distance sweep against the
+// scalar reference BFS, serial and fanned out.
 func FuzzGraphOps(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6})
 	f.Add([]byte("add remove add"))
@@ -35,6 +37,14 @@ func FuzzGraphOps(f *testing.F) {
 					g.Order(), g.Size(), b.Order(), b.Size())
 			}
 			assertInvariants(t, g)
+			wantDiam, wantAvg := refDistanceStats(g)
+			for _, workers := range []int{1, 2} {
+				diam, avg, err := g.DistanceStatsCtx(context.Background(), workers)
+				if err != nil || diam != wantDiam || avg != wantAvg {
+					t.Fatalf("workers=%d: DistanceStatsCtx = (%d, %v, %v), reference (%d, %v)",
+						workers, diam, avg, err, wantDiam, wantAvg)
+				}
+			}
 		}
 	})
 }

@@ -1,71 +1,6 @@
 package graph
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
-
-// sweepResult is one worker's share of an all-sources BFS sweep.
-type sweepResult struct {
-	maxDist   int
-	total     int64
-	connected bool
-}
-
-// parallelSweep fans BFS-from-every-source across workers goroutines. Each
-// worker owns its scratch; the frozen graph is shared read-only. Sources
-// are handed out via an atomic counter so stragglers do not imbalance the
-// sweep; a disconnection found by any worker — or a signal on the optional
-// done channel — stops the others early (a canceled sweep reports
-// disconnected; the caller's context disambiguates).
-func parallelSweep(g *Graph, done <-chan struct{}, workers int) []sweepResult {
-	n := g.Order()
-	workers = ClampWorkers(workers, n)
-	var (
-		next atomic.Int64
-		stop atomic.Bool
-		wg   sync.WaitGroup
-	)
-	results := make([]sweepResult, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			s := getScratch(n)
-			defer putScratch(s)
-			r := sweepResult{connected: true}
-			for !stop.Load() {
-				if signaled(done) {
-					r.connected = false
-					stop.Store(true)
-					break
-				}
-				v := int(next.Add(1)) - 1
-				if v >= n {
-					break
-				}
-				for i := range s.dist {
-					s.dist[i] = -1
-				}
-				if g.bfsInto(v, s) != n {
-					r.connected = false
-					stop.Store(true)
-					break
-				}
-				for _, d := range s.dist {
-					if int(d) > r.maxDist {
-						r.maxDist = int(d)
-					}
-					r.total += int64(d)
-				}
-			}
-			results[w] = r
-		}(w)
-	}
-	wg.Wait()
-	return results
-}
+import "runtime"
 
 // ClampWorkers bounds a worker count to [1, min(requested, items)]; zero
 // or negative requests mean "use GOMAXPROCS". An explicit positive request

@@ -15,11 +15,15 @@ var (
 )
 
 // scratch is the reusable per-traversal working set: a distance array and a
-// BFS queue. Traversals Get one from the pool, run, and Put it back, so
-// steady-state BFS probes (Connected, ConnectedIgnoring, Diameter,
-// AvgPathLength and the flow-layer reachability sweeps) allocate nothing.
+// BFS queue. Single-source traversals Get one from the pool, run, and Put
+// it back, so steady-state BFS probes (Connected, ConnectedIgnoring,
+// Eccentricity and the flow-layer reachability sweeps) allocate nothing.
 // Buffers only ever grow; a scratch recycled from a larger graph serves a
-// smaller one without reallocation.
+// smaller one without reallocation. The all-sources distance sweep
+// (DistanceStatsCtx, Diameter, AvgPathLength) runs on its own pooled lanes
+// (lanes.go) and checks out no scratch, so it no longer counts in
+// graph.scratch.gets: the miss ratio moves because its base shrank, not
+// because the pool serves worse.
 type scratch struct {
 	dist  []int32
 	queue []int32

@@ -169,68 +169,31 @@ func (g *Graph) Eccentricity(v int) (ecc int, wholeGraph bool) {
 
 // Diameter returns the longest shortest path in g. It returns -1 when g is
 // disconnected or has no nodes.
-func (g *Graph) Diameter() int { return g.diameter(1) }
-
-// DiameterParallel computes Diameter with the per-source BFS sweeps fanned
-// across `workers` goroutines (values < 2 fall back to the serial path).
-// The graph is frozen, so the workers share it without synchronization.
-func (g *Graph) DiameterParallel(workers int) int { return g.diameter(workers) }
-
-func (g *Graph) diameter(workers int) int {
-	n := g.Order()
-	if n == 0 {
-		return -1
-	}
-	diam, _, connected := g.sweepAllSources(workers)
-	if !connected {
-		return -1
-	}
+func (g *Graph) Diameter() int {
+	diam, _, _ := g.DistanceStatsCtx(context.Background(), 1)
 	return diam
 }
 
 // AvgPathLength returns the mean shortest-path length over all ordered node
 // pairs, or -1 when g is disconnected or has fewer than two nodes.
 func (g *Graph) AvgPathLength() float64 {
-	n := g.Order()
-	if n < 2 {
-		return -1
-	}
-	_, total, connected := g.sweepAllSources(1)
-	if !connected {
-		return -1
-	}
-	return float64(total) / float64(int64(n)*int64(n-1))
+	_, avg, _ := g.DistanceStatsCtx(context.Background(), 1)
+	return avg
 }
 
-// DistanceStats runs one all-sources BFS sweep (optionally parallel) and
-// returns the diameter and average path length together — the P4 inputs —
-// so verification pays for the sweep once instead of twice. Both are -1
-// when g is disconnected; the diameter alone is -1 on the empty graph.
-func (g *Graph) DistanceStats(workers int) (diam int, avg float64) {
-	n := g.Order()
-	if n == 0 {
-		return -1, -1
-	}
-	diam, total, connected := g.sweepAllSources(workers)
-	if !connected {
-		return -1, -1
-	}
-	if n < 2 {
-		return diam, -1
-	}
-	return diam, float64(total) / float64(int64(n)*int64(n-1))
-}
-
-// DistanceStatsCtx is DistanceStats polling ctx between per-source BFS
-// sweeps (each source costs one O(n+m) BFS, so cancellation lands within
-// one BFS of the signal). A canceled sweep returns ctx.Err() and no
-// values.
+// DistanceStatsCtx runs one all-sources BFS sweep (see lanes.go) across
+// workers goroutines and returns the diameter and average path length
+// together — the P4 inputs — so verification pays for the sweep once
+// instead of twice. Both are -1 when g is disconnected; the diameter alone
+// is -1 on the empty graph. ctx is polled every 256 nodes of each BFS
+// level, so cancellation lands within a fraction of one level of the
+// signal; a canceled sweep returns ctx.Err() and no values.
 func (g *Graph) DistanceStatsCtx(ctx context.Context, workers int) (diam int, avg float64, err error) {
 	n := g.Order()
 	if n == 0 {
 		return -1, -1, ctx.Err()
 	}
-	diam, total, connected := g.sweepAllSourcesDone(ctx.Done(), workers)
+	diam, total, connected := g.sweepAllSources(ctx.Done(), workers)
 	if err := ctx.Err(); err != nil {
 		return 0, 0, err
 	}
@@ -241,56 +204,6 @@ func (g *Graph) DistanceStatsCtx(ctx context.Context, workers int) (diam int, av
 		return diam, -1, nil
 	}
 	return diam, float64(total) / float64(int64(n)*int64(n-1)), nil
-}
-
-// sweepAllSources BFSes from every node, accumulating the maximum distance
-// and the sum of all distances, and reports whether every BFS reached the
-// whole graph. Workers < 2 run serially on pooled scratch.
-func (g *Graph) sweepAllSources(workers int) (maxDist int, total int64, connected bool) {
-	return g.sweepAllSourcesDone(nil, workers)
-}
-
-// sweepAllSourcesDone is sweepAllSources with an optional cancellation
-// signal polled between sources. A canceled sweep returns early with
-// whatever it accumulated; the caller distinguishes cancellation from a
-// disconnection by checking its context.
-func (g *Graph) sweepAllSourcesDone(done <-chan struct{}, workers int) (maxDist int, total int64, connected bool) {
-	n := g.Order()
-	if workers < 2 {
-		s := getScratch(n)
-		defer putScratch(s)
-		connected = true
-		for v := 0; v < n; v++ {
-			if signaled(done) {
-				return 0, 0, false
-			}
-			for i := range s.dist {
-				s.dist[i] = -1
-			}
-			if g.bfsInto(v, s) != n {
-				return 0, 0, false
-			}
-			for _, d := range s.dist {
-				if int(d) > maxDist {
-					maxDist = int(d)
-				}
-				total += int64(d)
-			}
-		}
-		return maxDist, total, connected
-	}
-	results := parallelSweep(g, done, workers)
-	connected = true
-	for _, r := range results {
-		if !r.connected {
-			return 0, 0, false
-		}
-		if r.maxDist > maxDist {
-			maxDist = r.maxDist
-		}
-		total += r.total
-	}
-	return maxDist, total, connected
 }
 
 // signaled polls an optional done channel without blocking.

@@ -482,7 +482,7 @@ func (s *Server) compute(ctx context.Context, ep endpoint, key string, p *persis
 	if sp.Live() {
 		sp.Event("cache-miss", trace.Str("key", key))
 	}
-	var fromStore atomic.Bool
+	var adopted atomic.Bool // the flight found the value instead of computing it
 	v, err, shared := s.flights.Do(ctx, key, func(runCtx context.Context) (any, error) {
 		// Double-check the cache as the flight leader: a request that
 		// missed the cache just before a concurrent flight completed and
@@ -490,6 +490,7 @@ func (s *Server) compute(ctx context.Context, ep endpoint, key string, p *persis
 		// completing flight fills the cache before it unmaps, so this
 		// lookup closes that window.
 		if v, ok := s.cache.Get(key); ok {
+			adopted.Store(true)
 			return v, nil
 		}
 		if s.timeout > 0 {
@@ -508,7 +509,7 @@ func (s *Server) compute(ctx context.Context, ep endpoint, key string, p *persis
 				return nil, err
 			}
 			if v != nil {
-				fromStore.Store(true)
+				adopted.Store(true)
 				s.cache.Put(key, v)
 				return v, nil
 			}
@@ -532,10 +533,11 @@ func (s *Server) compute(ctx context.Context, ep endpoint, key string, p *persis
 	if err != nil {
 		return nil, false, err
 	}
-	// A coalesced request — or one whose flight adopted a foreign
-	// process's result — reports cached=true: it did not pay for the
-	// computation, which is what clients use the flag for.
-	return v, shared || fromStore.Load(), nil
+	// A coalesced request — or one whose flight found a completed result
+	// in the cache or adopted a foreign process's — reports cached=true:
+	// it did not pay for the computation, which is what clients use the
+	// flag for.
+	return v, shared || adopted.Load(), nil
 }
 
 // leaseOrAdopt makes the in-process flight leader unique fleet-wide: it

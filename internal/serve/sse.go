@@ -120,12 +120,20 @@ func (f *feed) close() {
 }
 
 // subscribe registers a new watcher and returns its channel plus the
-// replayed history. A closed feed returns ok=false.
+// replayed history. A watcher that found the feed just as its campaign
+// ended still gets the whole campaign when the history holds it through
+// the done event: the replay, then an already-closed channel. Any other
+// closed feed returns ok=false.
 func (f *feed) subscribe() (ch chan streamEvent, replay []streamEvent, ok bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed {
-		return nil, nil, false
+		if n := len(f.history); n == 0 || f.history[n-1].name != "done" {
+			return nil, nil, false
+		}
+		ch = make(chan streamEvent)
+		close(ch)
+		return ch, append([]streamEvent(nil), f.history...), true
 	}
 	ch = make(chan streamEvent, 256)
 	f.subs[ch] = struct{}{}
@@ -337,8 +345,9 @@ func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, f *feed) {
 	}
 	ch, replay, ok := f.subscribe()
 	if !ok {
-		// The campaign finished between feed lookup and subscribe; tell
-		// the client to re-request (the result is in the cache now).
+		// The campaign finished between feed lookup and subscribe and its
+		// history overflowed; tell the client to re-request (the result is
+		// in the cache now).
 		writeError(w, r, conflict(fmt.Errorf("serve: stream already completed, retry")))
 		return
 	}

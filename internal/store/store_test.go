@@ -183,6 +183,67 @@ func TestAcquireContendedOnce(t *testing.T) {
 	}
 }
 
+// TestAcquireAfterPublishStepsBack: a contender whose claim lands after
+// the leader published and released must adopt the value, not recompute.
+func TestAcquireAfterPublishStepsBack(t *testing.T) {
+	dir := t.TempDir()
+	leader, _ := Open(dir)
+	late, _ := Open(dir)
+	l, ok, _ := leader.Acquire("k", time.Minute)
+	if !ok {
+		t.Fatal("leader Acquire failed")
+	}
+	leader.Put("k", "verify", json.RawMessage(`"report"`))
+	l.Release()
+	if _, ok, err := late.Acquire("k", time.Minute); ok || err != nil {
+		t.Fatalf("Acquire after publish: ok=%t err=%v, want false/nil", ok, err)
+	}
+	v, ok, err := late.WaitValue(context.Background(), "k", 5*time.Millisecond)
+	if err != nil || !ok || string(v) != `"report"` {
+		t.Fatalf("WaitValue after publish: v=%s ok=%t err=%v", v, ok, err)
+	}
+}
+
+// TestUnparseableClaimAgedByMtime: Acquire never publishes a torn claim,
+// so an unreadable one is debris. It blocks the key until its mtime is a
+// TTL old instead of being removed on sight.
+func TestUnparseableClaimAgedByMtime(t *testing.T) {
+	s, _ := Open(t.TempDir())
+	path := s.leasePath(Key("k"))
+	if err := os.WriteFile(path, []byte(`{"owner":`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := s.Acquire("k", time.Minute); ok || err != nil {
+		t.Fatalf("Acquire over a fresh unparseable claim: ok=%t err=%v, want false/nil", ok, err)
+	}
+	old := time.Now().Add(-2 * time.Minute)
+	if err := os.Chtimes(path, old, old); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := s.Acquire("k", time.Minute); !ok || err != nil {
+		t.Fatalf("Acquire over an aged unparseable claim: ok=%t err=%v, want takeover", ok, err)
+	}
+}
+
+// TestLeaseLeavesNoDebris: the temp files and tombstones of publish,
+// takeover and release are all cleaned up.
+func TestLeaseLeavesNoDebris(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := Open(dir)
+	if _, ok, _ := s.Acquire("k", time.Millisecond); !ok {
+		t.Fatal("first Acquire failed")
+	}
+	time.Sleep(5 * time.Millisecond)
+	l, ok, _ := s.Acquire("k", time.Minute) // takeover
+	if !ok {
+		t.Fatal("takeover failed")
+	}
+	l.Release()
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Fatalf("dir holds %d entries after release, want none (first: %s)", len(entries), entries[0].Name())
+	}
+}
+
 func TestWaitValueSeesLeaderPublish(t *testing.T) {
 	dir := t.TempDir()
 	leader, _ := Open(dir)
