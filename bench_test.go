@@ -275,7 +275,7 @@ func BenchmarkVerifyParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				r, err := lhg.VerifyParallel(g, 4, 0)
+				r, err := lhg.Verify(context.Background(), g, 4, lhg.WithWorkers(0))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -569,7 +569,7 @@ func BenchmarkConnectivity(b *testing.B) {
 	g := buildOrFatal(b, lhg.KDiamond, 128, 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sinkInt = flow.VertexConnectivity(g)
+		sinkInt, _ = flow.VertexConnectivity(context.Background(), g, 1, flow.NoHints)
 	}
 }
 

@@ -52,7 +52,7 @@ func runE2(w io.Writer) error {
 }
 
 func printWitnessRow(w io.Writer, name string, real *core.Realization, k int) error {
-	r, err := check.VerifyCtx(expCtx, real.Graph, k, check.Options{Workers: verifyWorkers})
+	r, err := check.Verify(expCtx, real.Graph, k, check.Options{Workers: verifyWorkers})
 	if err != nil {
 		return err
 	}

@@ -30,7 +30,7 @@ func runE21(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		ok, err := check.QuickVerify(s.Graph(), k)
+		ok, err := check.QuickVerify(expCtx, s.Graph(), k, check.Options{})
 		if err != nil {
 			return err
 		}

@@ -30,7 +30,7 @@ func runE4(w io.Writer) error {
 				continue
 			}
 			built++
-			ok, verr := check.QuickVerify(kt.Real.Graph, k)
+			ok, verr := check.QuickVerify(expCtx, kt.Real.Graph, k, check.Options{})
 			if verr != nil {
 				return verr
 			}

@@ -33,7 +33,7 @@ func TestVerifyCtxCancelsPromptly(t *testing.T) {
 			canceledAt <- time.Now()
 			cancel()
 		}()
-		_, err := VerifyCtx(ctx, g, 3, Options{Workers: workers})
+		_, err := Verify(ctx, g, 3, Options{Workers: workers})
 		overstay := time.Since(<-canceledAt)
 		cancel()
 		if err == nil {
@@ -43,7 +43,7 @@ func TestVerifyCtxCancelsPromptly(t *testing.T) {
 			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}
 		if overstay > 100*time.Millisecond {
-			t.Fatalf("workers=%d: VerifyCtx returned %v after cancellation, want <= 100ms", workers, overstay)
+			t.Fatalf("workers=%d: Verify returned %v after cancellation, want <= 100ms", workers, overstay)
 		}
 	}
 }
@@ -51,11 +51,11 @@ func TestVerifyCtxCancelsPromptly(t *testing.T) {
 func TestVerifyCtxPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := VerifyCtx(ctx, complete(8), 3, Options{}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("VerifyCtx: err = %v, want context.Canceled", err)
+	if _, err := Verify(ctx, complete(8), 3, Options{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Verify: err = %v, want context.Canceled", err)
 	}
-	if _, err := QuickVerifyCtx(ctx, complete(8), 3); !errors.Is(err, context.Canceled) {
-		t.Fatalf("QuickVerifyCtx: err = %v, want context.Canceled", err)
+	if _, err := QuickVerify(ctx, complete(8), 3, Options{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("QuickVerify: err = %v, want context.Canceled", err)
 	}
 }
 
@@ -68,16 +68,16 @@ func TestVerifyCtxCorrectAfterCancellation(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 		cancel()
 	}()
-	if _, err := VerifyCtx(ctx, big, 3, Options{Workers: 4}); err == nil {
+	if _, err := Verify(ctx, big, 3, Options{Workers: 4}); err == nil {
 		t.Fatal("campaign finished before the cancel signal; grow the fixture")
 	}
 	cancel()
 
-	clean, err := Verify(complete(6), 5)
+	clean, err := Verify(context.Background(), complete(6), 5, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := VerifyCtx(context.Background(), complete(6), 5, Options{Workers: 3})
+	after, err := Verify(context.Background(), complete(6), 5, Options{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestVerifyCtxCorrectAfterCancellation(t *testing.T) {
 // values and Checked records exactly what ran.
 func TestVerifyCtxPropertySelection(t *testing.T) {
 	g := complete(6)
-	r, err := VerifyCtx(context.Background(), g, 5, Options{Props: PropNodeConnectivity})
+	r, err := Verify(context.Background(), g, 5, Options{Props: PropNodeConnectivity})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestVerifyCtxPropertySelection(t *testing.T) {
 
 	// P3 pulls in P1 and P2: minimality is meaningless without the exact
 	// connectivities to compare against.
-	r3, err := VerifyCtx(context.Background(), g, 5, Options{Props: PropLinkMinimality})
+	r3, err := Verify(context.Background(), g, 5, Options{Props: PropLinkMinimality})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"context"
 	"fmt"
 
 	"lhg/internal/flow"
@@ -58,7 +59,10 @@ func CertifySparse(g *graph.Graph) (*Certificate, error) {
 // spanning subgraph of it — and the cut from g.
 func certify(g, view *graph.Graph) (*Certificate, error) {
 	n := g.Order()
-	kappa := flow.VertexConnectivity(view)
+	kappa, err := flow.VertexConnectivity(context.TODO(), view, 1, flow.NoHints)
+	if err != nil {
+		return nil, err
+	}
 	cert := &Certificate{K: kappa}
 	if kappa == 0 {
 		return cert, nil // disconnected: empty cut, no paths needed

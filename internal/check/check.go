@@ -203,20 +203,12 @@ func (r *Report) String() string {
 	return b.String()
 }
 
-// Verify computes the full report for g against target connectivity k,
-// serially and without cancellation. It is exact and therefore
-// O(n·maxflow) — intended for verification, not for hot paths. k must be
-// at least 1 and less than n. Service and interactive callers should use
-// VerifyCtx, which adds cancellation, a worker budget and property
-// selection.
-func Verify(g *graph.Graph, k int) (*Report, error) {
-	return VerifyCtx(context.Background(), g, k, Options{Workers: 1})
-}
-
-// VerifyCtx is the context-first verification driver: it computes the
+// Verify is the context-first verification driver: it computes the
 // selected properties (Options.Props; zero means all) for g against
 // target connectivity k with the independent probes fanned across
 // Options.Workers goroutines (<= 0 means GOMAXPROCS, 1 runs serially).
+// It is exact and therefore O(n·maxflow) — intended for verification, not
+// for hot paths. k must be at least 1 and less than n.
 //
 // Cancellation is honored at three granularities: between phases, between
 // max-flow probes, and — inside each probe — between augmenting-path
@@ -227,7 +219,7 @@ func Verify(g *graph.Graph, k int) (*Report, error) {
 //
 // The report is deterministic: identical values (and the same P3 witness
 // edge) as the serial path, regardless of the worker count.
-func VerifyCtx(ctx context.Context, g *graph.Graph, k int, opt Options) (*Report, error) {
+func Verify(ctx context.Context, g *graph.Graph, k int, opt Options) (*Report, error) {
 	n := g.Order()
 	if k < 1 {
 		return nil, fmt.Errorf("check: connectivity target k=%d must be >= 1", k)
@@ -304,7 +296,7 @@ func VerifyCtx(ctx context.Context, g *graph.Graph, k int, opt Options) (*Report
 
 	if props.Has(PropNodeConnectivity) {
 		if err := runPhase("kappa", tPhaseKappa, func(pctx context.Context) (err error) {
-			r.NodeConnectivity, err = flow.VertexConnectivityHinted(pctx, probeView, workers, hints)
+			r.NodeConnectivity, err = flow.VertexConnectivity(pctx, probeView, workers, hints)
 			return err
 		}); err != nil {
 			return nil, err
@@ -313,7 +305,7 @@ func VerifyCtx(ctx context.Context, g *graph.Graph, k int, opt Options) (*Report
 	}
 	if props.Has(PropLinkConnectivity) {
 		if err := runPhase("lambda", tPhaseLambda, func(pctx context.Context) (err error) {
-			r.EdgeConnectivity, err = flow.EdgeConnectivityHinted(pctx, probeView, workers, hints)
+			r.EdgeConnectivity, err = flow.EdgeConnectivity(pctx, probeView, workers, hints)
 			return err
 		}); err != nil {
 			return nil, err
@@ -323,7 +315,7 @@ func VerifyCtx(ctx context.Context, g *graph.Graph, k int, opt Options) (*Report
 
 	if props.Has(PropRestrictedEdge) {
 		if err := runPhase("restricted", tPhaseRestricted, func(pctx context.Context) (err error) {
-			r.RestrictedEdgeConnectivity, err = flow.RestrictedEdgeConnectivityCtx(pctx, g, workers)
+			r.RestrictedEdgeConnectivity, err = flow.RestrictedEdgeConnectivity(pctx, g, workers)
 			return err
 		}); err != nil {
 			return nil, err
@@ -376,7 +368,7 @@ func DiameterBound(n, k int) int {
 // per-edge probes only run for irregular graphs.
 //
 // Each probe is two single-pair max flows on the masked CSR view
-// (flow.EdgeIsRemovable) — connectivity under an edge removal can only drop
+// (flow.EdgesRemovable) — connectivity under an edge removal can only drop
 // through cuts separating that edge's endpoints, so no clone and no global
 // re-sweep is needed. With workers > 1 the probes fan out across a worker
 // pool.
@@ -392,7 +384,7 @@ func verifyLinkMinimality(ctx context.Context, g *graph.Graph, r *Report, worker
 	}
 	edges := g.Edges()
 	mP3EdgesProbed.Add(int64(len(edges)))
-	removable, err := flow.EdgesRemovableCtx(ctx, g, edges, kappa, lambda, workers)
+	removable, err := flow.EdgesRemovable(ctx, g, edges, kappa, lambda, workers)
 	if err != nil {
 		return false, err
 	}
@@ -416,24 +408,16 @@ func (r *Report) Violation() (graph.Edge, bool) {
 // QuickVerify checks only the boolean LHG properties with early-exit flows
 // (no exact connectivity values, no P3 edge sweep for regular graphs, no
 // average path length). It is the fast path used by large sweeps.
-func QuickVerify(g *graph.Graph, k int) (bool, error) {
-	return QuickVerifyCtx(context.Background(), g, k)
-}
-
-// QuickVerifyCtx is QuickVerify under a context: cancellation is polled
-// between probes and between augmenting-path iterations, and surfaces as
-// ctx.Err().
-func QuickVerifyCtx(ctx context.Context, g *graph.Graph, k int) (bool, error) {
-	return QuickVerifyOpts(ctx, g, k, Options{})
-}
-
-// QuickVerifyOpts is QuickVerifyCtx with explicit Options. Only the
-// Sparsify policy is consulted — the quick path is inherently serial and
-// always checks every property. Because it only needs the boolean "≥ k"
-// verdicts, its certificate uses q = k (not δ+1): κ(G) >= k iff
-// κ(cert_k) >= k, and likewise for λ, so the verdict is unchanged while
-// the view is as small as the NI bound allows.
-func QuickVerifyOpts(ctx context.Context, g *graph.Graph, k int, opt Options) (bool, error) {
+// Cancellation is polled between probes and between augmenting-path
+// iterations, and surfaces as ctx.Err().
+//
+// Of the Options only the Sparsify and Prescreen policies are consulted —
+// the quick path is inherently serial and always checks every property.
+// Because it only needs the boolean "≥ k" verdicts, its certificate uses
+// q = k (not δ+1): κ(G) >= k iff κ(cert_k) >= k, and likewise for λ, so
+// the verdict is unchanged while the view is as small as the NI bound
+// allows.
+func QuickVerify(ctx context.Context, g *graph.Graph, k int, opt Options) (bool, error) {
 	n := g.Order()
 	if k < 1 || n <= k {
 		return false, fmt.Errorf("check: invalid pair n=%d k=%d", n, k)
@@ -454,10 +438,10 @@ func QuickVerifyOpts(ctx context.Context, g *graph.Graph, k int, opt Options) (b
 		}
 	}
 	view, _ := sparseView(g, k, k, opt.Sparsify)
-	if ok, err := flow.IsKNodeConnectedCtx(ctx, view, k); err != nil || !ok {
+	if ok, err := flow.IsKNodeConnected(ctx, view, k); err != nil || !ok {
 		return false, err
 	}
-	if ok, err := flow.IsKEdgeConnectedCtx(ctx, view, k); err != nil || !ok {
+	if ok, err := flow.IsKEdgeConnected(ctx, view, k); err != nil || !ok {
 		return false, err
 	}
 	diam, _, err := g.DistanceStatsCtx(ctx, 1)

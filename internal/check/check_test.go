@@ -1,6 +1,7 @@
 package check
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -38,16 +39,16 @@ func petersen() *graph.Graph {
 
 func TestVerifyArgumentErrors(t *testing.T) {
 	g := cycle(5)
-	if _, err := Verify(g, 0); err == nil {
+	if _, err := Verify(context.Background(), g, 0, Options{Workers: 1}); err == nil {
 		t.Fatal("k=0 must be rejected")
 	}
-	if _, err := Verify(g, 5); err == nil {
+	if _, err := Verify(context.Background(), g, 5, Options{Workers: 1}); err == nil {
 		t.Fatal("k=n must be rejected")
 	}
 }
 
 func TestVerifyPetersen(t *testing.T) {
-	r, err := Verify(petersen(), 3)
+	r, err := Verify(context.Background(), petersen(), 3, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestVerifyCycleFailsP4(t *testing.T) {
 	// a tighter k... instead verify with k=2 that the other properties
 	// hold and the diameter value is reported faithfully.)
 	g := cycle(30)
-	r, err := Verify(g, 2)
+	r, err := Verify(context.Background(), g, 2, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestVerifyCycleFailsP4(t *testing.T) {
 
 func TestVerifyDetectsNonMinimalGraph(t *testing.T) {
 	// A cycle plus one chord: still κ=λ=2 but the chord is removable.
-	r, err := Verify(chorded(), 2)
+	r, err := Verify(context.Background(), chorded(), 2, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestVerifyDetectsNonMinimalGraph(t *testing.T) {
 
 func TestVerifyUnderConnected(t *testing.T) {
 	g := cycle(6) // κ=2 < 3
-	r, err := Verify(g, 3)
+	r, err := Verify(context.Background(), g, 3, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestVerifyUnderConnected(t *testing.T) {
 
 func TestVerifyDisconnected(t *testing.T) {
 	g := graph.MustFromEdges(6, []graph.Edge{{U: 0, V: 1}})
-	r, err := Verify(g, 1)
+	r, err := Verify(context.Background(), g, 1, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestVerifyDisconnected(t *testing.T) {
 
 func TestVerifyCompleteGraph(t *testing.T) {
 	// K5 for k=4: κ=λ=4, regular, minimal, diameter 1.
-	r, err := Verify(complete(5), 4)
+	r, err := Verify(context.Background(), complete(5), 4, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,11 +179,11 @@ func TestQuickVerifyAgreesWithVerify(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			r, err := Verify(tt.g, tt.k)
+			r, err := Verify(context.Background(), tt.g, tt.k, Options{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			quickOK, err := QuickVerify(tt.g, tt.k)
+			quickOK, err := QuickVerify(context.Background(), tt.g, tt.k, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -200,16 +201,16 @@ func chorded() *graph.Graph {
 }
 
 func TestQuickVerifyErrors(t *testing.T) {
-	if _, err := QuickVerify(cycle(4), 0); err == nil {
+	if _, err := QuickVerify(context.Background(), cycle(4), 0, Options{}); err == nil {
 		t.Fatal("k=0 must error")
 	}
-	if _, err := QuickVerify(cycle(4), 4); err == nil {
+	if _, err := QuickVerify(context.Background(), cycle(4), 4, Options{}); err == nil {
 		t.Fatal("k>=n must error")
 	}
 }
 
 func TestReportString(t *testing.T) {
-	r, err := Verify(petersen(), 3)
+	r, err := Verify(context.Background(), petersen(), 3, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +223,7 @@ func TestReportString(t *testing.T) {
 }
 
 func TestVerifyReportsAvgPathLength(t *testing.T) {
-	r, err := Verify(complete(4), 3)
+	r, err := Verify(context.Background(), complete(4), 3, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,7 @@ package check
 // admissions also needs >= c outgoing edges, checked alongside). Choosing
 // c = δ(G′) then PINS both values exactly — κ <= λ <= δ (Whitney) forces
 // κ(G′) = λ(G′) = δ(G′) — which is the only case the fast path reports;
-// anything weaker falls back to VerifyCtx so the report stays bit-identical
+// anything weaker falls back to Verify so the report stays bit-identical
 // to a fresh full verification (timing phases aside, which are wall-clock).
 // P3 runs through the SAME verifyLinkMinimality as the full campaign (free
 // for regular graphs via the Δ = λ shortcut, the identical edge sweep
@@ -97,7 +97,7 @@ type DeltaVerifier struct {
 // NewDeltaVerifier runs one full verification of g and arms the
 // incremental state.
 func NewDeltaVerifier(ctx context.Context, g *graph.Graph, k int, opt Options) (*DeltaVerifier, error) {
-	r, err := VerifyCtx(ctx, g, k, opt)
+	r, err := Verify(ctx, g, k, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -142,7 +142,7 @@ func (dv *DeltaVerifier) Advance(ctx context.Context, d graph.EdgeDelta, n int) 
 // VerifyDelta re-verifies prevGraph after the edge delta d (resizing to n
 // nodes): given prev — the report of a verification of prevGraph — it
 // returns the report of the resulting graph, bit-identical to a fresh
-// VerifyCtx, probing only the delta's frontier when the localization
+// Verify, probing only the delta's frontier when the localization
 // conditions hold. One-shot form of DeltaVerifier for callers that do not
 // hold a session.
 func VerifyDelta(ctx context.Context, prevGraph *graph.Graph, prev *Report, d graph.EdgeDelta, n int, opt Options) (*Report, error) {
@@ -184,7 +184,7 @@ func verifyDelta(ctx context.Context, prevG *graph.Graph, prev *Report, d graph.
 	}
 	mDeltaFallbacks.Inc()
 	bctx, bsp := trace.StartSpan(ctx, "check.delta.fallback")
-	r, err = VerifyCtx(bctx, next, k, opt)
+	r, err = Verify(bctx, next, k, opt)
 	bsp.End()
 	return r, err
 }

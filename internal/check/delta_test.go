@@ -34,7 +34,7 @@ func advanceBoth(t *testing.T, gr core.Reconfigurer, dv *DeltaVerifier, batch []
 	if err != nil {
 		t.Fatalf("advance: %v", err)
 	}
-	want, err := VerifyCtx(context.Background(), gr.Graph(), gr.K(), opt)
+	want, err := Verify(context.Background(), gr.Graph(), gr.K(), opt)
 	if err != nil {
 		t.Fatalf("full verify: %v", err)
 	}
@@ -176,7 +176,7 @@ func TestDeltaVerifierFastPathOnRestructureJoins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := VerifyCtx(context.Background(), gr.Graph(), k, opt)
+	want, err := Verify(context.Background(), gr.Graph(), k, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestVerifyDeltaFallsBackOnDamage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prev, err := Verify(g, 2)
+	prev, err := Verify(context.Background(), g, 2, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestVerifyDeltaFallsBackOnDamage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := VerifyCtx(context.Background(), next, 2, Options{Workers: 1})
+	want, err := Verify(context.Background(), next, 2, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestVerifyDeltaFallsBackOnDamage(t *testing.T) {
 }
 
 // TestVerifyDeltaPartialPropsFallsBack: the fast path only serves full
-// reports; property-selected runs must defer to VerifyCtx untouched.
+// reports; property-selected runs must defer to Verify untouched.
 func TestVerifyDeltaPartialPropsFallsBack(t *testing.T) {
 	obs.Enable()
 	k := 3
@@ -241,7 +241,7 @@ func TestVerifyDeltaPartialPropsFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := Options{Workers: 1, Props: PropDiameter}
-	prev, err := VerifyCtx(context.Background(), gr.Graph(), k, opt)
+	prev, err := Verify(context.Background(), gr.Graph(), k, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestVerifyDeltaPartialPropsFallsBack(t *testing.T) {
 	if mDeltaFallbacks.Value() != fb0+1 {
 		t.Fatal("partial-props delta verify must fall back")
 	}
-	want, err := VerifyCtx(context.Background(), gr.Graph(), k, opt)
+	want, err := Verify(context.Background(), gr.Graph(), k, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestVerifyDeltaRandomGraphs(t *testing.T) {
 			t.Fatal(err)
 		}
 		k := 1 + rng.Intn(3)
-		prev, err := Verify(g, k)
+		prev, err := Verify(context.Background(), g, k, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -313,7 +313,7 @@ func TestVerifyDeltaRandomGraphs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := VerifyCtx(context.Background(), next, k, Options{Workers: 1})
+		want, err := Verify(context.Background(), next, k, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -353,7 +353,7 @@ func TestDeltaVerifierKeepsEpochOnError(t *testing.T) {
 	if err != nil {
 		t.Fatalf("advance after failed epoch: %v", err)
 	}
-	want, err := VerifyCtx(context.Background(), gr.Graph(), k, Options{Workers: 1})
+	want, err := Verify(context.Background(), gr.Graph(), k, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

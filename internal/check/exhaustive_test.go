@@ -1,6 +1,7 @@
 package check
 
 import (
+	"context"
 	"testing"
 
 	"lhg/internal/graph"
@@ -109,7 +110,7 @@ func TestVerifyExhaustiveFiveNodes(t *testing.T) {
 		if g.Size() < n-1 {
 			continue // cannot be connected; verifier covered by other tests
 		}
-		r, err := Verify(g, 1)
+		r, err := Verify(context.Background(), g, 1, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +137,7 @@ func TestVerifySampledSixNodes(t *testing.T) {
 		if !g.Connected() {
 			continue
 		}
-		r, err := Verify(g, 1)
+		r, err := Verify(context.Background(), g, 1, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -97,7 +97,7 @@ func FuzzVerifySparseEquivFull(f *testing.F) {
 		}
 		g := fuzzGraph(n, seed, mut)
 		ctx := context.Background()
-		ref, err := VerifyCtx(ctx, g, k, Options{Workers: 1, Sparsify: SparsifyOff})
+		ref, err := Verify(ctx, g, k, Options{Workers: 1, Sparsify: SparsifyOff})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +108,7 @@ func FuzzVerifySparseEquivFull(f *testing.F) {
 			{Workers: 4, Sparsify: SparsifyOff},
 			{Workers: 1, Sparsify: SparsifyAuto},
 		} {
-			r, err := VerifyCtx(ctx, g, k, opt)
+			r, err := Verify(ctx, g, k, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -117,11 +117,11 @@ func FuzzVerifySparseEquivFull(f *testing.F) {
 					n, k, seed, mut, opt, got, want)
 			}
 		}
-		qOff, err := QuickVerifyOpts(ctx, g, k, Options{Sparsify: SparsifyOff})
+		qOff, err := QuickVerify(ctx, g, k, Options{Sparsify: SparsifyOff})
 		if err != nil {
 			t.Fatal(err)
 		}
-		qOn, err := QuickVerifyOpts(ctx, g, k, Options{Sparsify: SparsifyAlways})
+		qOn, err := QuickVerify(ctx, g, k, Options{Sparsify: SparsifyAlways})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +164,7 @@ func FuzzVerifyDeltaEquivFull(f *testing.F) {
 			k = 1 + ((k%(m-1))+(m-1))%(m-1)
 		}
 		ctx := context.Background()
-		prev, err := VerifyCtx(ctx, g, k, Options{Workers: 1})
+		prev, err := Verify(ctx, g, k, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,7 +209,7 @@ func FuzzVerifyDeltaEquivFull(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := VerifyCtx(ctx, next, k, Options{Workers: 1})
+		want, err := Verify(ctx, next, k, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,7 +247,7 @@ func FuzzVerifyPrescreenEquivFull(f *testing.F) {
 		}
 		g := fuzzGraph(n, seed, mut)
 		ctx := context.Background()
-		ref, err := VerifyCtx(ctx, g, k, Options{Workers: 1, Prescreen: PrescreenOff})
+		ref, err := Verify(ctx, g, k, Options{Workers: 1, Prescreen: PrescreenOff})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,7 +259,7 @@ func FuzzVerifyPrescreenEquivFull(f *testing.F) {
 			{Workers: 1, Prescreen: PrescreenAuto},
 			{Workers: 1, Prescreen: PrescreenAlways, Sparsify: SparsifyAlways},
 		} {
-			r, err := VerifyCtx(ctx, g, k, opt)
+			r, err := Verify(ctx, g, k, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -268,11 +268,11 @@ func FuzzVerifyPrescreenEquivFull(f *testing.F) {
 					n, k, seed, mut, opt, got, want)
 			}
 		}
-		qOff, err := QuickVerifyOpts(ctx, g, k, Options{Prescreen: PrescreenOff})
+		qOff, err := QuickVerify(ctx, g, k, Options{Prescreen: PrescreenOff})
 		if err != nil {
 			t.Fatal(err)
 		}
-		qOn, err := QuickVerifyOpts(ctx, g, k, Options{Prescreen: PrescreenAlways})
+		qOn, err := QuickVerify(ctx, g, k, Options{Prescreen: PrescreenAlways})
 		if err != nil {
 			t.Fatal(err)
 		}

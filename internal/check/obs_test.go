@@ -1,6 +1,7 @@
 package check
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -77,7 +78,7 @@ func expectedVerifyProbes(t *testing.T, g *graph.Graph, lambda int) (kappa, lam,
 		}
 	}
 	lam = int64(len(g.DominatingSet()) - 1)
-	kappaVal := flow.VertexConnectivity(g)
+	kappaVal, _ := flow.VertexConnectivity(context.Background(), g, 1, flow.NoHints)
 	for _, e := range g.Edges() {
 		if d := min2(g.Degree(e.U), g.Degree(e.V)); d <= lambda || d <= kappaVal {
 			continue // degree shortcut: the sweep refutes without a flow
@@ -114,7 +115,7 @@ func TestVerifyMetricsMatchGroundTruth(t *testing.T) {
 
 	for _, workers := range []int{1, 4} {
 		obs.Reset()
-		r, err := VerifyParallel(g, 3, workers)
+		r, err := Verify(context.Background(), g, 3, Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,14 +161,14 @@ func TestSerialParallelCountersAgree(t *testing.T) {
 	g := irregularPetersen()
 	withSink(t)
 
-	if _, err := Verify(g, 3); err != nil {
+	if _, err := Verify(context.Background(), g, 3, Options{Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
 	serialProbes := mFlowProbes.Value()
 	serialEdges := mP3EdgesProbed.Value()
 
 	obs.Reset()
-	if _, err := VerifyParallel(g, 3, 4); err != nil {
+	if _, err := Verify(context.Background(), g, 3, Options{Workers: 4}); err != nil {
 		t.Fatal(err)
 	}
 	if got := mFlowProbes.Value(); got != serialProbes {
@@ -184,7 +185,7 @@ func TestSerialParallelCountersAgree(t *testing.T) {
 func TestPhasesWithoutSink(t *testing.T) {
 	obs.Disable()
 	obs.Reset()
-	r, err := Verify(petersen(), 3)
+	r, err := Verify(context.Background(), petersen(), 3, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

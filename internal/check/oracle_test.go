@@ -158,7 +158,7 @@ func TestVerifyAgainstOracles(t *testing.T) {
 			{Workers: 4, Sparsify: SparsifyOff},
 			{Workers: 4, Sparsify: SparsifyAlways},
 		} {
-			r, err := VerifyCtx(ctx, g, 1, opt)
+			r, err := Verify(ctx, g, 1, opt)
 			if err != nil {
 				t.Fatal(err)
 			}

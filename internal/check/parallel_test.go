@@ -1,6 +1,7 @@
 package check
 
 import (
+	"context"
 	"testing"
 
 	"lhg/internal/graph"
@@ -43,11 +44,11 @@ func TestVerifyParallelMatchesSerial(t *testing.T) {
 	}
 	for _, tt := range fixtures {
 		t.Run(tt.name, func(t *testing.T) {
-			serial, err := Verify(tt.g, tt.k)
+			serial, err := Verify(context.Background(), tt.g, tt.k, Options{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			par, err := VerifyParallel(tt.g, tt.k, 8)
+			par, err := Verify(context.Background(), tt.g, tt.k, Options{Workers: 8})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -66,11 +67,11 @@ func TestVerifyParallelMatchesSerial(t *testing.T) {
 func TestVerifyParallelRandomSweep(t *testing.T) {
 	for seed := uint64(1); seed <= 15; seed++ {
 		g := randomGraph(12, seed)
-		serial, err := Verify(g, 1)
+		serial, err := Verify(context.Background(), g, 1, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := VerifyParallel(g, 1, 8)
+		par, err := Verify(context.Background(), g, 1, Options{Workers: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,10 +84,10 @@ func TestVerifyParallelRandomSweep(t *testing.T) {
 
 func TestVerifyParallelArgumentErrors(t *testing.T) {
 	g := cycle(5)
-	if _, err := VerifyParallel(g, 0, 8); err == nil {
+	if _, err := Verify(context.Background(), g, 0, Options{Workers: 8}); err == nil {
 		t.Fatal("k=0 must be rejected")
 	}
-	if _, err := VerifyParallel(g, 5, 8); err == nil {
+	if _, err := Verify(context.Background(), g, 5, Options{Workers: 8}); err == nil {
 		t.Fatal("k=n must be rejected")
 	}
 }

@@ -111,7 +111,7 @@ func TestVerifyRestrictedSuperAgainstOracle(t *testing.T) {
 			{Workers: 4, Props: PropSuperEdge},
 			{Workers: 1, Props: PropSuperEdge, Prescreen: PrescreenAlways},
 		} {
-			r, err := VerifyCtx(ctx, g, 1, opt)
+			r, err := Verify(ctx, g, 1, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -136,7 +136,7 @@ func TestVerifyRestrictedSuperAgainstOracle(t *testing.T) {
 // does not mark them checked.
 func TestVerifyDefaultSkipsExtendedProps(t *testing.T) {
 	g := mustHarary(t, 14, 4)
-	r, err := Verify(g, 4)
+	r, err := Verify(context.Background(), g, 4, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

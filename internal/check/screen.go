@@ -25,7 +25,7 @@ import (
 //     round, and every sampled exact probe passed, but the property was
 //     not exhaustively verified. "No counterexample found", not "proven".
 //
-// The phases mirror VerifyCtx: a linear pass (degrees, connectivity,
+// The phases mirror Verify: a linear pass (degrees, connectivity,
 // cutpoints — exact, O(n+m)), the seeded Karger prescreen (certified
 // candidate cuts, O(m log n)), and a confirm pass of exact Dinic probes
 // (the candidate cut's bipartition plus deterministically sampled pairs)
@@ -119,9 +119,10 @@ func (r *ScreenReport) String() string {
 	return b.String()
 }
 
-// ScreenCtx screens g against the LHG property set at level k. See the
-// package comment above for the exact/screened semantics of the verdicts.
-func ScreenCtx(ctx context.Context, g *graph.Graph, k int, opt ScreenOptions) (*ScreenReport, error) {
+// Screen screens g against the LHG property set at level k under ctx. See
+// the package comment above for the exact/screened semantics of the
+// verdicts.
+func Screen(ctx context.Context, g *graph.Graph, k int, opt ScreenOptions) (*ScreenReport, error) {
 	n := g.Order()
 	if k < 1 {
 		return nil, fmt.Errorf("check: screen connectivity target k=%d must be >= 1", k)
@@ -292,9 +293,4 @@ func ScreenCtx(ctx context.Context, g *graph.Graph, k int, opt ScreenOptions) (*
 		mScreenRefuted.Inc()
 	}
 	return r, ctx.Err()
-}
-
-// Screen screens g at level k without cancellation. See ScreenCtx.
-func Screen(g *graph.Graph, k int, opt ScreenOptions) (*ScreenReport, error) {
-	return ScreenCtx(context.Background(), g, k, opt)
 }

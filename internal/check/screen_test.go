@@ -38,7 +38,7 @@ func TestScreenValidInstanceScreens(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := gr.Graph()
-	r, err := Screen(g, 3, ScreenOptions{})
+	r, err := Screen(context.Background(), g, 3, ScreenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,21 +71,21 @@ func TestScreenValidInstanceScreens(t *testing.T) {
 
 func TestScreenExactVerdictsSmallK(t *testing.T) {
 	// k == 1 on a connected graph: one BFS is a sufficient exact check.
-	if r, err := Screen(screenPath(8), 1, ScreenOptions{}); err != nil {
+	if r, err := Screen(context.Background(), screenPath(8), 1, ScreenOptions{}); err != nil {
 		t.Fatal(err)
 	} else if r.NodeConn != ScreenConfirmed || r.LinkConn != ScreenConfirmed {
 		t.Fatalf("path at k=1: %s/%s, want confirmed/confirmed", r.NodeConn, r.LinkConn)
 	}
 
 	// k == 2 on a cycle: the cutpoint DFS confirms 2-connectivity exactly.
-	if r, err := Screen(screenCycle(12), 2, ScreenOptions{}); err != nil {
+	if r, err := Screen(context.Background(), screenCycle(12), 2, ScreenOptions{}); err != nil {
 		t.Fatal(err)
 	} else if r.NodeConn != ScreenConfirmed || r.LinkConn != ScreenConfirmed {
 		t.Fatalf("cycle at k=2: %s/%s, want confirmed/confirmed", r.NodeConn, r.LinkConn)
 	}
 
 	// k == 2 on a path: articulation points and bridges refute exactly.
-	r, err := Screen(screenPath(8), 2, ScreenOptions{})
+	r, err := Screen(context.Background(), screenPath(8), 2, ScreenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestScreenRefutesDisconnectedAndDegree(t *testing.T) {
 	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 0}, {4, 5}, {5, 6}, {6, 4}} {
 		b.MustAddEdge(e[0], e[1])
 	}
-	r, err := Screen(b.Freeze(), 2, ScreenOptions{})
+	r, err := Screen(context.Background(), b.Freeze(), 2, ScreenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestScreenRefutesDisconnectedAndDegree(t *testing.T) {
 	}
 
 	// δ < k refutes both by the degree witness without any probe.
-	if r, err := Screen(screenCycle(10), 3, ScreenOptions{}); err != nil {
+	if r, err := Screen(context.Background(), screenCycle(10), 3, ScreenOptions{}); err != nil {
 		t.Fatal(err)
 	} else if r.NodeConn != ScreenRefuted || r.LinkConn != ScreenRefuted {
 		t.Fatalf("cycle at k=3: %s/%s, want refuted/refuted (δ = 2)", r.NodeConn, r.LinkConn)
@@ -126,7 +126,7 @@ func TestScreenRefutesDisconnectedAndDegree(t *testing.T) {
 // a graph whose trivial degree bound δ = 5 passes k but whose true cut is
 // 2 must be refuted exactly by a certified contraction cut.
 func TestScreenFindsBarbellCut(t *testing.T) {
-	r, err := Screen(barbell(t), 4, ScreenOptions{})
+	r, err := Screen(context.Background(), barbell(t), 4, ScreenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,12 +140,12 @@ func TestScreenFindsBarbellCut(t *testing.T) {
 
 func TestScreenDeterministic(t *testing.T) {
 	g := mustHarary(t, 64, 4)
-	first, err := Screen(g, 4, ScreenOptions{SamplePairs: 8})
+	first, err := Screen(context.Background(), g, 4, ScreenOptions{SamplePairs: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		again, err := Screen(g, 4, ScreenOptions{SamplePairs: 8})
+		again, err := Screen(context.Background(), g, 4, ScreenOptions{SamplePairs: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,13 +159,13 @@ func TestScreenDeterministic(t *testing.T) {
 
 func TestScreenRejectsBadArgs(t *testing.T) {
 	g := screenCycle(6)
-	if _, err := Screen(g, 0, ScreenOptions{}); err == nil {
+	if _, err := Screen(context.Background(), g, 0, ScreenOptions{}); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	if _, err := Screen(g, 6, ScreenOptions{}); err == nil {
+	if _, err := Screen(context.Background(), g, 6, ScreenOptions{}); err == nil {
 		t.Fatal("k=n accepted")
 	}
-	if _, err := ScreenCtx(canceledCtx(), g, 2, ScreenOptions{}); err == nil {
+	if _, err := Screen(canceledCtx(), g, 2, ScreenOptions{}); err == nil {
 		t.Fatal("canceled context accepted")
 	}
 }

@@ -45,7 +45,7 @@ func TestSparsifyTriggersOnDenseFixture(t *testing.T) {
 	ctx := context.Background()
 	props := PropNodeConnectivity | PropLinkConnectivity | PropDiameter
 
-	full, err := VerifyCtx(ctx, g, k, Options{Workers: 1, Props: props, Sparsify: SparsifyOff})
+	full, err := Verify(ctx, g, k, Options{Workers: 1, Props: props, Sparsify: SparsifyOff})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestSparsifyTriggersOnDenseFixture(t *testing.T) {
 		t.Fatalf("SparsifyOff must not build certificates, passes=%d", c)
 	}
 
-	fast, err := VerifyCtx(ctx, g, k, Options{Workers: 1, Props: props}) // zero = SparsifyAuto
+	fast, err := Verify(ctx, g, k, Options{Workers: 1, Props: props}) // zero = SparsifyAuto
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestSparsifyTriggersOnDenseFixture(t *testing.T) {
 func TestSparsifyAutoSkipsSparseGraphs(t *testing.T) {
 	withSink(t)
 	g := petersen()
-	if _, err := VerifyCtx(context.Background(), g, 3, Options{Workers: 1}); err != nil {
+	if _, err := Verify(context.Background(), g, 3, Options{Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if c := obs.Counters()["check.sparsify.passes"]; c != 0 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"lhg/internal/check"
@@ -42,7 +43,7 @@ func TestGrowerInitialGraphIsMinimalLHG(t *testing.T) {
 			if !g.IsRegular(k) {
 				t.Fatalf("initial graph must be k-regular")
 			}
-			ok, err := check.QuickVerify(g, k)
+			ok, err := check.QuickVerify(context.Background(), g, k, check.Options{})
 			if err != nil || !ok {
 				t.Fatalf("initial graph is not an LHG (k=%d): %v", k, err)
 			}
@@ -65,12 +66,12 @@ func TestKTreeGrowerEveryStepIsLHG(t *testing.T) {
 			}
 			n := gr.N()
 			g := gr.Snapshot()
-			ok, err := check.QuickVerify(g, k)
+			ok, err := check.QuickVerify(context.Background(), g, k, check.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !ok {
-				r, _ := check.Verify(g, k)
+				r, _ := check.Verify(context.Background(), g, k, check.Options{Workers: 1})
 				t.Fatalf("k=%d n=%d: grower graph is not an LHG: %s", k, n, r)
 			}
 			if g.IsRegular(k) != RegularKTree(n, k) {
@@ -95,12 +96,12 @@ func TestKDiamondGrowerEveryStepIsLHG(t *testing.T) {
 			}
 			n := gr.N()
 			g := gr.Snapshot()
-			ok, err := check.QuickVerify(g, k)
+			ok, err := check.QuickVerify(context.Background(), g, k, check.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !ok {
-				r, _ := check.Verify(g, k)
+				r, _ := check.Verify(context.Background(), g, k, check.Options{Workers: 1})
 				t.Fatalf("k=%d n=%d: grower graph is not an LHG: %s", k, n, r)
 			}
 			if g.IsRegular(k) != RegularKDiamond(n, k) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -77,12 +78,12 @@ func TestJDBuildsItsReachableSet(t *testing.T) {
 			if err := ValidateKTree(jd.Blue); err != nil {
 				t.Fatalf("JD blueprint (%d,%d) violates K-TREE: %v", n, k, err)
 			}
-			ok, err := check.QuickVerify(jd.Real.Graph, k)
+			ok, err := check.QuickVerify(context.Background(), jd.Real.Graph, k, check.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !ok {
-				r, _ := check.Verify(jd.Real.Graph, k)
+				r, _ := check.Verify(context.Background(), jd.Real.Graph, k, check.Options{Workers: 1})
 				t.Fatalf("JD(%d,%d) is not an LHG: %s", n, k, r)
 			}
 		}
@@ -212,7 +213,7 @@ func TestPropertyJDGraphsVerify(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		ok, err := check.QuickVerify(jd.Real.Graph, k)
+		ok, err := check.QuickVerify(context.Background(), jd.Real.Graph, k, check.Options{})
 		return err == nil && ok && jd.Real.Graph.Order() == n
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

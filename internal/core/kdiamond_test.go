@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -66,12 +67,12 @@ func TestTheorem5GraphsAreLHGs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ok, err := check.QuickVerify(kd.Real.Graph, k)
+			ok, err := check.QuickVerify(context.Background(), kd.Real.Graph, k, check.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !ok {
-				r, _ := check.Verify(kd.Real.Graph, k)
+				r, _ := check.Verify(context.Background(), kd.Real.Graph, k, check.Options{Workers: 1})
 				t.Fatalf("K-DIAMOND(%d,%d) is not an LHG: %s", n, k, r)
 			}
 		}
@@ -262,7 +263,7 @@ func TestPropertyKDiamondAlwaysVerifies(t *testing.T) {
 		if ValidateKDiamond(kd.Blue) != nil {
 			return false
 		}
-		ok, err := check.QuickVerify(kd.Real.Graph, k)
+		ok, err := check.QuickVerify(context.Background(), kd.Real.Graph, k, check.Options{})
 		return err == nil && ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -73,12 +74,12 @@ func TestTheorem2GraphsAreLHGs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ok, err := check.QuickVerify(kt.Real.Graph, k)
+			ok, err := check.QuickVerify(context.Background(), kt.Real.Graph, k, check.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !ok {
-				r, _ := check.Verify(kt.Real.Graph, k)
+				r, _ := check.Verify(context.Background(), kt.Real.Graph, k, check.Options{Workers: 1})
 				t.Fatalf("K-TREE(%d,%d) is not an LHG: %s", n, k, r)
 			}
 		}
@@ -216,7 +217,7 @@ func TestPropertyKTreeAlwaysVerifies(t *testing.T) {
 		if ValidateKTree(kt.Blue) != nil {
 			return false
 		}
-		ok, err := check.QuickVerify(kt.Real.Graph, k)
+		ok, err := check.QuickVerify(context.Background(), kt.Real.Graph, k, check.Options{})
 		return err == nil && ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

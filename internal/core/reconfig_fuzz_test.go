@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -89,11 +90,11 @@ func FuzzReconfigureEquivFresh(f *testing.F) {
 				k, joins, leaves, gr.N())
 		}
 		if gr.N() <= 2*k+12 {
-			got, err := check.Verify(gr.Graph(), k)
+			got, err := check.Verify(context.Background(), gr.Graph(), k, check.Options{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := check.Verify(ref.Graph(), k)
+			want, err := check.Verify(context.Background(), ref.Graph(), k, check.Options{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}

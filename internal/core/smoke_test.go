@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"lhg/internal/check"
@@ -40,7 +41,7 @@ func TestSmokePaperWitnesses(t *testing.T) {
 			if got := blue.NodeCount(); got != tt.n {
 				t.Fatalf("blueprint counts %d nodes, want %d", got, tt.n)
 			}
-			r, err := check.Verify(real.Graph, tt.k)
+			r, err := check.Verify(context.Background(), real.Graph, tt.k, check.Options{Workers: 1})
 			if err != nil {
 				t.Fatalf("verify: %v", err)
 			}

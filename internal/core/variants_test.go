@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -36,7 +37,7 @@ func TestVariantsSatisfyConstraintAndLHG(t *testing.T) {
 				if err := ValidateKTree(kt.Blue); err != nil {
 					t.Fatalf("ktree variant (%d,%d) violates the constraint: %v", n, k, err)
 				}
-				ok, err := check.QuickVerify(kt.Real.Graph, k)
+				ok, err := check.QuickVerify(context.Background(), kt.Real.Graph, k, check.Options{})
 				if err != nil || !ok {
 					t.Fatalf("ktree variant (%d,%d) is not an LHG (err=%v)", n, k, err)
 				}
@@ -51,7 +52,7 @@ func TestVariantsSatisfyConstraintAndLHG(t *testing.T) {
 				if err := ValidateKDiamond(kd.Blue); err != nil {
 					t.Fatalf("kdiamond variant (%d,%d) violates the constraint: %v", n, k, err)
 				}
-				ok, err = check.QuickVerify(kd.Real.Graph, k)
+				ok, err = check.QuickVerify(context.Background(), kd.Real.Graph, k, check.Options{})
 				if err != nil || !ok {
 					t.Fatalf("kdiamond variant (%d,%d) is not an LHG (err=%v)", n, k, err)
 				}

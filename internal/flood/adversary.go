@@ -1,6 +1,7 @@
 package flood
 
 import (
+	"context"
 	"fmt"
 
 	"lhg/internal/flow"
@@ -65,7 +66,10 @@ func AdversarialNodeFailures(g *graph.Graph, source, f int) (Failures, error) {
 	if f == 0 {
 		return Failures{}, nil
 	}
-	kappa := flow.VertexConnectivity(g)
+	kappa, err := flow.VertexConnectivity(context.TODO(), g, 1, flow.NoHints)
+	if err != nil {
+		return Failures{}, err
+	}
 	if f >= kappa {
 		if cut := findCut(g, source, f); cut != nil {
 			mAdvCutsFound.Inc()
@@ -172,7 +176,10 @@ func AdversarialLinkFailures(g *graph.Graph, source, f int) (Failures, error) {
 	if f == 0 {
 		return Failures{}, nil
 	}
-	lambda := flow.EdgeConnectivity(g)
+	lambda, err := flow.EdgeConnectivity(context.TODO(), g, 1, flow.NoHints)
+	if err != nil {
+		return Failures{}, err
+	}
 	if f >= lambda {
 		if cut, err := flow.GlobalMinEdgeCutSet(g); err == nil && len(cut) <= f {
 			links := cut

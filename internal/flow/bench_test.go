@@ -31,7 +31,7 @@ func naiveVertexConnectivity(g *graph.Graph) int {
 				continue
 			}
 			found = true
-			if f := stVertexFlow(context.Background(), g, s, t, best); f < best {
+			if f := stVertexFlow(context.Background(), g, s, t, best, noEdge); f < best {
 				best = f
 			}
 		}
@@ -58,7 +58,7 @@ func BenchmarkVertexConnectivityEsfahanianHakimi(b *testing.B) {
 		g := benchGraph(b, n)
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				benchSink = VertexConnectivity(g)
+				benchSink = kappaOf(g)
 			}
 		})
 	}
@@ -79,14 +79,14 @@ func BenchmarkThresholdEarlyExit(b *testing.B) {
 	g := benchGraph(b, 128)
 	b.Run("bounded", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if !IsKNodeConnected(g, 4) {
+			if !isKNodeConnected(g, 4) {
 				b.Fatal("graph must be 4-connected")
 			}
 		}
 	})
 	b.Run("exact", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if VertexConnectivity(g) < 4 {
+			if kappaOf(g) < 4 {
 				b.Fatal("graph must be 4-connected")
 			}
 		}
@@ -97,7 +97,7 @@ func BenchmarkThresholdEarlyExit(b *testing.B) {
 func TestNaiveMatchesEsfahanianHakimi(t *testing.T) {
 	for seed := uint64(1); seed <= 25; seed++ {
 		g := randomGraph(10, seed)
-		if got, want := naiveVertexConnectivity(g), VertexConnectivity(g); got != want {
+		if got, want := naiveVertexConnectivity(g), kappaOf(g); got != want {
 			t.Fatalf("seed %d: naive κ=%d, EH κ=%d", seed, got, want)
 		}
 	}

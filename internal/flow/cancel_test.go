@@ -35,7 +35,7 @@ func TestVertexConnectivityCtxCancelsPromptly(t *testing.T) {
 	g := completeBipartite(130, 130) // serial campaign runs for several seconds
 	for _, workers := range []int{1, 4} {
 		err, overstay := cancelLatency(t, 30*time.Millisecond, func(ctx context.Context) error {
-			_, err := VertexConnectivityCtx(ctx, g, workers)
+			_, err := VertexConnectivity(ctx, g, workers, NoHints)
 			return err
 		})
 		if err == nil {
@@ -57,7 +57,7 @@ func TestEdgeConnectivityCtxCancelsPromptly(t *testing.T) {
 	g := completeBipartite(250, 250)
 	for _, workers := range []int{1, 4} {
 		err, overstay := cancelLatency(t, 30*time.Millisecond, func(ctx context.Context) error {
-			_, err := EdgeConnectivityCtx(ctx, g, workers)
+			_, err := EdgeConnectivity(ctx, g, workers, NoHints)
 			return err
 		})
 		if err == nil {
@@ -78,17 +78,17 @@ func TestCtxAPIPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	g := complete(40)
-	if _, err := VertexConnectivityCtx(ctx, g, 1); !errors.Is(err, context.Canceled) {
-		t.Fatalf("VertexConnectivityCtx: err = %v, want context.Canceled", err)
+	if _, err := VertexConnectivity(ctx, g, 1, NoHints); !errors.Is(err, context.Canceled) {
+		t.Fatalf("VertexConnectivity: err = %v, want context.Canceled", err)
 	}
-	if _, err := EdgeConnectivityCtx(ctx, g, 4); !errors.Is(err, context.Canceled) {
-		t.Fatalf("EdgeConnectivityCtx: err = %v, want context.Canceled", err)
+	if _, err := EdgeConnectivity(ctx, g, 4, NoHints); !errors.Is(err, context.Canceled) {
+		t.Fatalf("EdgeConnectivity: err = %v, want context.Canceled", err)
 	}
-	if _, err := IsKNodeConnectedCtx(ctx, g, 3); !errors.Is(err, context.Canceled) {
-		t.Fatalf("IsKNodeConnectedCtx: err = %v, want context.Canceled", err)
+	if _, err := IsKNodeConnected(ctx, g, 3); !errors.Is(err, context.Canceled) {
+		t.Fatalf("IsKNodeConnected: err = %v, want context.Canceled", err)
 	}
-	if _, err := EdgesRemovableCtx(ctx, g, g.Edges(), 39, 39, 2); !errors.Is(err, context.Canceled) {
-		t.Fatalf("EdgesRemovableCtx: err = %v, want context.Canceled", err)
+	if _, err := EdgesRemovable(ctx, g, g.Edges(), 39, 39, 2); !errors.Is(err, context.Canceled) {
+		t.Fatalf("EdgesRemovable: err = %v, want context.Canceled", err)
 	}
 }
 
@@ -103,7 +103,7 @@ func TestCancelDoesNotLeakWorkers(t *testing.T) {
 			time.Sleep(10 * time.Millisecond)
 			cancel()
 		}()
-		if _, err := VertexConnectivityCtx(ctx, g, 8); err == nil {
+		if _, err := VertexConnectivity(ctx, g, 8, NoHints); err == nil {
 			t.Fatal("campaign finished before the cancel signal; grow the fixture")
 		}
 		cancel()
@@ -134,40 +134,65 @@ func TestPooledNetworksSurviveCancellation(t *testing.T) {
 			time.Sleep(5 * time.Millisecond)
 			cancel()
 		}()
-		_, _ = VertexConnectivityCtx(ctx, big, 4) // poisoned run: canceled mid-sweep
+		_, _ = VertexConnectivity(ctx, big, 4, NoHints) // poisoned run: canceled mid-sweep
 		cancel()
 
 		// Correctness after reuse, across several shapes and both drivers.
-		if got, err := VertexConnectivityCtx(context.Background(), completeBipartite(5, 7), 1+round%2*3); err != nil || got != 5 {
+		if got, err := VertexConnectivity(context.Background(), completeBipartite(5, 7), 1+round%2*3, NoHints); err != nil || got != 5 {
 			t.Fatalf("round %d: κ(K_{5,7}) = %d, %v; want 5", round, got, err)
 		}
-		if got, err := EdgeConnectivityCtx(context.Background(), cycle(9), 1); err != nil || got != 2 {
+		if got, err := EdgeConnectivity(context.Background(), cycle(9), 1, NoHints); err != nil || got != 2 {
 			t.Fatalf("round %d: λ(C_9) = %d, %v; want 2", round, got, err)
 		}
-		if got, err := VertexConnectivityCtx(context.Background(), twoTriangles(), 2); err != nil || got != 1 {
+		if got, err := VertexConnectivity(context.Background(), twoTriangles(), 2, NoHints); err != nil || got != 1 {
 			t.Fatalf("round %d: κ(two triangles) = %d, %v; want 1", round, got, err)
 		}
 	}
 }
 
-// TestCtxWrappersMatchLegacyAPI pins the deprecated-path equivalence: the
-// Background-context wrappers must agree with the ctx drivers exactly.
+// TestCtxWrappersMatchLegacyAPI pins the ctx-less pair queries to their
+// ctx drivers: EdgeIsRemovable (kept for callers without a context) must
+// agree with EdgeIsRemovableCtx exactly, and the exact EdgeCut/VertexCut
+// values must agree with the early-exit EdgeCutAtLeastCtx/
+// VertexCutAtLeastCtx thresholds on both sides of the cut.
 func TestCtxWrappersMatchLegacyAPI(t *testing.T) {
+	ctx := context.Background()
 	for seed := uint64(1); seed <= 5; seed++ {
 		g := randomGraph(12, seed)
-		kCtx, err := VertexConnectivityCtx(context.Background(), g, 1)
-		if err != nil {
-			t.Fatal(err)
+		kappa, lambda := kappaOf(g), lambdaOf(g)
+		for _, e := range g.Edges() {
+			viaCtx, err := EdgeIsRemovableCtx(ctx, g, e, kappa, lambda)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if legacy := EdgeIsRemovable(g, e, kappa, lambda); legacy != viaCtx {
+				t.Fatalf("seed %d edge %v: EdgeIsRemovable = %t, Ctx = %t", seed, e, legacy, viaCtx)
+			}
 		}
-		if legacy := VertexConnectivity(g); legacy != kCtx {
-			t.Fatalf("seed %d: VertexConnectivity = %d, Ctx = %d", seed, legacy, kCtx)
-		}
-		lCtx, err := EdgeConnectivityCtx(context.Background(), g, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if legacy := EdgeConnectivity(g); legacy != lCtx {
-			t.Fatalf("seed %d: EdgeConnectivity = %d, Ctx = %d", seed, legacy, lCtx)
+		for s := 0; s < g.Order(); s++ {
+			for u := s + 1; u < g.Order(); u++ {
+				cut, err := EdgeCut(g, s, u)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, c := range []int{cut, cut + 1} {
+					if ok, err := EdgeCutAtLeastCtx(ctx, g, s, u, c); err != nil || ok != (cut >= c) {
+						t.Fatalf("seed %d pair (%d,%d): EdgeCutAtLeastCtx(%d) = %t, %v; EdgeCut = %d", seed, s, u, c, ok, err, cut)
+					}
+				}
+				if g.HasEdge(s, u) {
+					continue
+				}
+				vcut, err := VertexCut(g, s, u)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, c := range []int{vcut, vcut + 1} {
+					if ok, err := VertexCutAtLeastCtx(ctx, g, s, u, c); err != nil || ok != (vcut >= c) {
+						t.Fatalf("seed %d pair (%d,%d): VertexCutAtLeastCtx(%d) = %t, %v; VertexCut = %d", seed, s, u, c, ok, err, vcut)
+					}
+				}
+			}
 		}
 	}
 }

@@ -8,22 +8,13 @@ import (
 )
 
 // stVertexFlow returns the maximum number of internally vertex-disjoint
-// s-t paths for a non-adjacent pair, early-exiting at limit if limit >= 0.
-// The probe is armed with ctx: cancellation stops it between augmenting
-// paths, and the caller is responsible for checking ctx afterwards (a
-// canceled probe returns a lower bound, not the exact value).
-func stVertexFlow(ctx context.Context, g *graph.Graph, s, t, limit int) int {
-	nw := getNetwork(2 * g.Order())
-	nw.watch(ctx)
-	nw.buildVertex(g, s, t, g.Order()+1, noEdge)
-	f := nw.maxflow(2*s+1, 2*t, limit)
-	putNetwork(nw)
-	return f
-}
-
-// stVertexFlowExcluding is stVertexFlow on G−skip: the masked edge never
-// enters the network, so removal probes cost one flow, not one clone.
-func stVertexFlowExcluding(ctx context.Context, g *graph.Graph, s, t, limit int, skip graph.Edge) int {
+// s-t paths for a non-adjacent pair in G−skip (noEdge masks nothing),
+// early-exiting at limit if limit >= 0. The masked edge never enters the
+// network, so removal probes cost one flow, not one clone. The probe is
+// armed with ctx: cancellation stops it between augmenting paths, and the
+// caller is responsible for checking ctx afterwards (a canceled probe
+// returns a lower bound, not the exact value).
+func stVertexFlow(ctx context.Context, g *graph.Graph, s, t, limit int, skip graph.Edge) int {
 	nw := getNetwork(2 * g.Order())
 	nw.watch(ctx)
 	nw.buildVertex(g, s, t, g.Order()+1, skip)
@@ -32,9 +23,9 @@ func stVertexFlowExcluding(ctx context.Context, g *graph.Graph, s, t, limit int,
 	return f
 }
 
-// stEdgeFlowExcluding returns the maximum s-t flow in the edge network of
-// G−skip, early-exiting at limit.
-func stEdgeFlowExcluding(ctx context.Context, g *graph.Graph, s, t, limit int, skip graph.Edge) int {
+// stEdgeFlow returns the maximum s-t flow in the edge network of G−skip,
+// early-exiting at limit; see stVertexFlow.
+func stEdgeFlow(ctx context.Context, g *graph.Graph, s, t, limit int, skip graph.Edge) int {
 	nw := getNetwork(g.Order())
 	nw.watch(ctx)
 	nw.buildEdge(g, skip)
@@ -49,7 +40,7 @@ func EdgeCut(g *graph.Graph, s, t int) (int, error) {
 	if err := validatePair(g, s, t); err != nil {
 		return 0, err
 	}
-	return stEdgeFlowExcluding(context.Background(), g, s, t, -1, noEdge), nil
+	return stEdgeFlow(context.Background(), g, s, t, -1, noEdge), nil
 }
 
 // VertexCut returns the size of a minimum s-t vertex cut. s and t must be
@@ -61,7 +52,7 @@ func VertexCut(g *graph.Graph, s, t int) (int, error) {
 	if g.HasEdge(s, t) {
 		return 0, fmt.Errorf("flow: no vertex cut separates adjacent nodes %d and %d", s, t)
 	}
-	return stVertexFlow(context.Background(), g, s, t, -1), nil
+	return stVertexFlow(context.Background(), g, s, t, -1, noEdge), nil
 }
 
 // VertexCutAtLeastCtx reports whether every s-t vertex cut has at least c
@@ -79,7 +70,7 @@ func VertexCutAtLeastCtx(ctx context.Context, g *graph.Graph, s, t, c int) (bool
 	if g.HasEdge(s, t) {
 		return false, fmt.Errorf("flow: no vertex cut separates adjacent nodes %d and %d", s, t)
 	}
-	ok := stVertexFlow(ctx, g, s, t, c) >= c
+	ok := stVertexFlow(ctx, g, s, t, c, noEdge) >= c
 	if err := ctx.Err(); err != nil {
 		return false, err
 	}
@@ -95,7 +86,7 @@ func EdgeCutAtLeastCtx(ctx context.Context, g *graph.Graph, s, t, c int) (bool, 
 	if c <= 0 {
 		return true, ctx.Err()
 	}
-	ok := stEdgeFlowExcluding(ctx, g, s, t, c, noEdge) >= c
+	ok := stEdgeFlow(ctx, g, s, t, c, noEdge) >= c
 	if err := ctx.Err(); err != nil {
 		return false, err
 	}
@@ -125,48 +116,42 @@ func MinVertexCutSet(g *graph.Graph, s, t int) ([]int, error) {
 	return cut, nil
 }
 
-// EdgeConnectivityCtx returns the global edge connectivity λ(G) — the
+// EdgeConnectivity returns the global edge connectivity λ(G) — the
 // minimum number of edges whose removal disconnects G — computing the
 // min-cut probes under ctx across `workers` goroutines (workers <= 0 means
-// GOMAXPROCS, 1 runs serially). Cancellation is polled between probes and
-// between augmenting-path iterations inside each probe; a canceled sweep
-// returns ctx.Err() and no value.
+// GOMAXPROCS, 1 runs serially on the caller). Cancellation is polled
+// between probes and between augmenting-path iterations inside each probe;
+// a canceled sweep returns ctx.Err() and no value.
 //
 // The probe set is the shared dominating-set plan (see lambdaProbePlan):
 // λ(G) = min(δ, min over dominating-set pairs), which needs roughly
-// n/(δ+1) probes instead of the classic n−1. Disconnected graphs and
-// graphs with fewer than two nodes have λ = 0.
-func EdgeConnectivityCtx(ctx context.Context, g *graph.Graph, workers int) (int, error) {
-	return edgeConnectivitySweep(ctx, g, workers, NoHints)
-}
-
-// EdgeConnectivity returns the global edge connectivity λ(G) serially
-// without cancellation. See EdgeConnectivityCtx.
-func EdgeConnectivity(g *graph.Graph) int {
-	lambda, _ := EdgeConnectivityCtx(context.Background(), g, 1)
-	return lambda
-}
-
-// VertexConnectivityCtx returns the global vertex connectivity κ(G) using
-// the Esfahanian–Hakimi reduction, probing under ctx across `workers`
-// goroutines (workers <= 0 means GOMAXPROCS, 1 runs serially): pick a
-// minimum-degree node v; every minimum vertex cut either avoids v (then it
-// separates v from some non-neighbor) or contains v (then, by minimality,
-// v has neighbors in two different components, and those neighbors form a
-// non-adjacent pair). The complete graph K_n has connectivity n-1 by
-// convention. A canceled sweep returns ctx.Err() and no value.
-func VertexConnectivityCtx(ctx context.Context, g *graph.Graph, workers int) (int, error) {
-	return vertexConnectivityCtx(ctx, g, workers, NoHints)
-}
-
-// vertexConnectivityCtx dispatches the trivial κ cases and hands the probe
-// sweep to vertexConnectivitySweep.
-func vertexConnectivityCtx(ctx context.Context, g *graph.Graph, workers int, hints SweepHints) (int, error) {
-	n := g.Order()
-	if n < 2 {
+// n/(δ+1) probes instead of the classic n−1. hints (NoHints for none) may
+// reorder the probes and tighten their early-exit limits; see SweepHints
+// for why they cannot change the result. Disconnected graphs and graphs
+// with fewer than two nodes have λ = 0.
+func EdgeConnectivity(ctx context.Context, g *graph.Graph, workers int, hints SweepHints) (int, error) {
+	if g.Order() < 2 {
 		return 0, ctx.Err()
 	}
-	if !g.Connected() {
+	best, _ := g.MinDegree()
+	if hints.Upper >= 0 && hints.Upper < best {
+		best = hints.Upper
+	}
+	return lambdaSweep(ctx, g, workers, hints, best, 1)
+}
+
+// VertexConnectivity returns the global vertex connectivity κ(G) using the
+// Esfahanian–Hakimi reduction, probing under ctx across `workers`
+// goroutines (workers <= 0 means GOMAXPROCS, 1 runs serially on the
+// caller): pick a minimum-degree node v; every minimum vertex cut either
+// avoids v (then it separates v from some non-neighbor) or contains v
+// (then, by minimality, v has neighbors in two different components, and
+// those neighbors form a non-adjacent pair). The complete graph K_n has
+// connectivity n-1 by convention. hints (NoHints for none) only reorder
+// the probes. A canceled sweep returns ctx.Err() and no value.
+func VertexConnectivity(ctx context.Context, g *graph.Graph, workers int, hints SweepHints) (int, error) {
+	n := g.Order()
+	if n < 2 || !g.Connected() {
 		return 0, ctx.Err()
 	}
 	minDeg, v := g.MinDegree()
@@ -174,18 +159,10 @@ func vertexConnectivityCtx(ctx context.Context, g *graph.Graph, workers int, hin
 		return n - 1, ctx.Err()
 	}
 	pairs := vertexProbePairs(g, v)
-	if len(pairs) == 0 {
-		return minDeg, ctx.Err()
+	if len(hints.Critical) > 0 {
+		pairs = frontLoadCritical(pairs, hints.Critical, n, func(p probePair) (int, int) { return p.s, p.t })
 	}
-	workers = graph.ClampWorkers(workers, len(pairs))
-	return vertexConnectivitySweep(ctx, g, minDeg, pairs, workers, hints)
-}
-
-// VertexConnectivity returns the global vertex connectivity κ(G) serially
-// without cancellation. See VertexConnectivityCtx.
-func VertexConnectivity(g *graph.Graph) int {
-	kappa, _ := VertexConnectivityCtx(context.Background(), g, 1)
-	return kappa
+	return kappaSweep(ctx, g, pairs, workers, minDeg, 1) // κ(G) <= δ(G)
 }
 
 // probePair is one s-t vertex-cut probe of the Esfahanian–Hakimi sweep.
@@ -217,10 +194,11 @@ func vertexProbePairs(g *graph.Graph, v int) []probePair {
 	return pairs
 }
 
-// IsKNodeConnectedCtx reports whether κ(G) >= k without always computing
-// the exact connectivity (max flows early-exit at k), polling ctx between
-// probes.
-func IsKNodeConnectedCtx(ctx context.Context, g *graph.Graph, k int) (bool, error) {
+// IsKNodeConnected reports whether κ(G) >= k without always computing the
+// exact connectivity: the Esfahanian–Hakimi probes run serially with limit
+// k and the first one below k settles the answer. Cancellation is polled
+// between probes and surfaces as ctx.Err().
+func IsKNodeConnected(ctx context.Context, g *graph.Graph, k int) (bool, error) {
 	n := g.Order()
 	if k <= 0 {
 		return true, ctx.Err()
@@ -238,68 +216,24 @@ func IsKNodeConnectedCtx(ctx context.Context, g *graph.Graph, k int) (bool, erro
 	if minDeg == n-1 {
 		return true, ctx.Err()
 	}
-	nw := getNetwork(2 * n)
-	defer putNetwork(nw)
-	nw.watch(ctx)
-	nw.buildVertexBase(g, n+1, noEdge)
-	for _, p := range vertexProbePairs(g, v) {
-		if err := ctx.Err(); err != nil {
-			return false, err
-		}
-		nw.armVertexPair(p.s, p.t)
-		if nw.maxflow(2*p.s+1, 2*p.t, k) < k {
-			if err := ctx.Err(); err != nil {
-				return false, err
-			}
-			return false, nil
-		}
-	}
-	return true, ctx.Err()
+	kappa, err := kappaSweep(ctx, g, vertexProbePairs(g, v), 1, k, k)
+	return err == nil && kappa >= k, err
 }
 
-// IsKNodeConnected reports whether κ(G) >= k. See IsKNodeConnectedCtx.
-func IsKNodeConnected(g *graph.Graph, k int) bool {
-	ok, _ := IsKNodeConnectedCtx(context.Background(), g, k)
-	return ok
-}
-
-// IsKEdgeConnectedCtx reports whether λ(G) >= k using early-exit max
-// flows, polling ctx between probes.
-func IsKEdgeConnectedCtx(ctx context.Context, g *graph.Graph, k int) (bool, error) {
-	n := g.Order()
+// IsKEdgeConnected reports whether λ(G) >= k using the dominating-set
+// probes serially with limit k; see IsKNodeConnected.
+func IsKEdgeConnected(ctx context.Context, g *graph.Graph, k int) (bool, error) {
 	if k <= 0 {
 		return true, ctx.Err()
 	}
-	if n < 2 {
+	if g.Order() < 2 {
 		return false, ctx.Err()
 	}
 	if minDeg, _ := g.MinDegree(); minDeg < k {
 		return false, ctx.Err()
 	}
-	d0, targets := lambdaProbePlan(g, NoHints)
-	nw := getNetwork(n)
-	defer putNetwork(nw)
-	nw.watch(ctx)
-	nw.buildEdge(g, noEdge)
-	for _, t := range targets {
-		if err := ctx.Err(); err != nil {
-			return false, err
-		}
-		nw.rearm()
-		if nw.maxflow(d0, t, k) < k {
-			if err := ctx.Err(); err != nil {
-				return false, err
-			}
-			return false, nil
-		}
-	}
-	return true, ctx.Err()
-}
-
-// IsKEdgeConnected reports whether λ(G) >= k. See IsKEdgeConnectedCtx.
-func IsKEdgeConnected(g *graph.Graph, k int) bool {
-	ok, _ := IsKEdgeConnectedCtx(context.Background(), g, k)
-	return ok
+	lambda, err := lambdaSweep(ctx, g, 1, NoHints, k, k)
+	return err == nil && lambda >= k, err
 }
 
 // EdgeIsRemovableCtx reports whether removing e=(u,v) keeps both the node
@@ -325,10 +259,10 @@ func EdgeIsRemovableCtx(ctx context.Context, g *graph.Graph, e graph.Edge, kappa
 		// λ (κ) probe under the bar. Same verdict as the probes, no flow.
 		return false, ctx.Err()
 	}
-	if stEdgeFlowExcluding(ctx, g, e.U, e.V, lambda, e) < lambda {
+	if stEdgeFlow(ctx, g, e.U, e.V, lambda, e) < lambda {
 		return false, ctx.Err()
 	}
-	ok := stVertexFlowExcluding(ctx, g, e.U, e.V, kappa, e) >= kappa
+	ok := stVertexFlow(ctx, g, e.U, e.V, kappa, e) >= kappa
 	if err := ctx.Err(); err != nil {
 		return false, err
 	}
@@ -429,19 +363,21 @@ func GlobalMinEdgeCutSet(g *graph.Graph) ([]graph.Edge, error) {
 		return nil, fmt.Errorf("flow: no cut in a graph with %d nodes", n)
 	}
 	minDeg, mv := g.MinDegree()
-	best, bestT := minDeg, -1
 	d0, targets := lambdaProbePlan(g, NoHints)
-	nw := getNetwork(n)
-	defer putNetwork(nw)
-	nw.buildEdge(g, noEdge)
-	for _, t := range targets {
-		if best == 0 {
-			break
-		}
-		nw.rearm()
-		if f := nw.maxflow(d0, t, best); f < best {
-			best, bestT = f, t
-		}
+	// One worker, so the probes run in order on the caller and bestT is
+	// the target of the last probe that lowered the minimum.
+	bestT := -1
+	if _, err := sweepMin(context.TODO(), "flow.lambda.worker", len(targets), 1, minDeg, 1, n,
+		func(nw *network) { nw.buildEdge(g, noEdge) },
+		func(nw *network, i, limit int) int {
+			nw.rearm()
+			f := nw.maxflow(d0, targets[i], limit)
+			if f < limit {
+				bestT = targets[i]
+			}
+			return f
+		}); err != nil {
+		return nil, err
 	}
 	if bestT >= 0 {
 		return MinEdgeCutSet(g, d0, bestT)

@@ -169,7 +169,7 @@ func TestVertexConnectivityKnownGraphs(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if got := VertexConnectivity(tt.g); got != tt.want {
+			if got := kappaOf(tt.g); got != tt.want {
 				t.Fatalf("VertexConnectivity = %d, want %d", got, tt.want)
 			}
 		})
@@ -191,7 +191,7 @@ func TestEdgeConnectivityKnownGraphs(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if got := EdgeConnectivity(tt.g); got != tt.want {
+			if got := lambdaOf(tt.g); got != tt.want {
 				t.Fatalf("EdgeConnectivity = %d, want %d", got, tt.want)
 			}
 		})
@@ -201,26 +201,26 @@ func TestEdgeConnectivityKnownGraphs(t *testing.T) {
 func TestIsKConnectedThresholds(t *testing.T) {
 	g := completeBipartite(3, 5) // κ = λ = 3
 	for k := 0; k <= 3; k++ {
-		if !IsKNodeConnected(g, k) {
+		if !isKNodeConnected(g, k) {
 			t.Fatalf("IsKNodeConnected(K35, %d) = false", k)
 		}
-		if !IsKEdgeConnected(g, k) {
+		if !isKEdgeConnected(g, k) {
 			t.Fatalf("IsKEdgeConnected(K35, %d) = false", k)
 		}
 	}
-	if IsKNodeConnected(g, 4) {
+	if isKNodeConnected(g, 4) {
 		t.Fatal("IsKNodeConnected(K35, 4) = true")
 	}
-	if IsKEdgeConnected(g, 4) {
+	if isKEdgeConnected(g, 4) {
 		t.Fatal("IsKEdgeConnected(K35, 4) = true")
 	}
 }
 
 func TestIsKNodeConnectedSmallN(t *testing.T) {
-	if IsKNodeConnected(complete(3), 3) {
+	if isKNodeConnected(complete(3), 3) {
 		t.Fatal("K3 cannot be 3-node-connected (needs n >= k+1)")
 	}
-	if !IsKNodeConnected(complete(4), 3) {
+	if !isKNodeConnected(complete(4), 3) {
 		t.Fatal("K4 is 3-node-connected")
 	}
 }
@@ -345,10 +345,10 @@ func TestPropertyConnectivityMatchesBruteForce(t *testing.T) {
 	f := func(seed uint32, nRaw uint8) bool {
 		n := int(nRaw%6) + 2 // brute force is exponential; stay tiny
 		g := randomGraph(n, uint64(seed))
-		if VertexConnectivity(g) != bruteVertexConnectivity(g) {
+		if kappaOf(g) != bruteVertexConnectivity(g) {
 			return false
 		}
-		return EdgeConnectivity(g) == bruteEdgeConnectivity(g)
+		return lambdaOf(g) == bruteEdgeConnectivity(g)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
@@ -447,13 +447,13 @@ func TestPropertyEarlyExitAgreesWithExact(t *testing.T) {
 	f := func(seed uint32, nRaw uint8) bool {
 		n := int(nRaw%8) + 3
 		g := randomGraph(n, uint64(seed))
-		kappa := VertexConnectivity(g)
-		lambda := EdgeConnectivity(g)
+		kappa := kappaOf(g)
+		lambda := lambdaOf(g)
 		for k := 0; k <= n; k++ {
-			if IsKNodeConnected(g, k) != (kappa >= k) {
+			if isKNodeConnected(g, k) != (kappa >= k) {
 				return false
 			}
-			if IsKEdgeConnected(g, k) != (lambda >= k) {
+			if isKEdgeConnected(g, k) != (lambda >= k) {
 				return false
 			}
 		}

@@ -1,8 +1,10 @@
 // Package flow implements unit-capacity maximum flow (Dinic's algorithm)
 // and the connectivity queries built on it: s-t edge/vertex min cuts,
-// global edge connectivity, global vertex connectivity (Esfahanian–Hakimi),
-// parallel variants of both, and Menger-style extraction of vertex-disjoint
-// paths.
+// global edge connectivity (Matula), global vertex connectivity
+// (Esfahanian–Hakimi), restricted edge connectivity, the P3 edge-removal
+// batch, and Menger-style extraction of vertex-disjoint paths. Each global
+// question is one ctx-first function taking a worker budget; one sweep
+// driver (sweep.go) runs its probe set serially or across workers.
 //
 // These are the verification workhorses for the LHG properties P1 and P2:
 // a graph is k-node (k-link) connected iff its vertex (edge) connectivity
@@ -121,7 +123,12 @@ func getNetwork(n int) *network {
 	return nw
 }
 
+// putNetwork returns nw to the pool; nil (a network never drawn) is a
+// no-op.
 func putNetwork(nw *network) {
+	if nw == nil {
+		return
+	}
 	nw.done = nil // never pool an armed cancellation signal
 	netPool.Put(nw)
 }
@@ -188,6 +195,19 @@ func (nw *network) finish() {
 		fill[src]++
 	}
 	nw.cap0 = append(nw.cap0[:0], nw.cap...)
+}
+
+// copyTopology makes nw a copy of src's finished topology with pristine
+// capacities: the per-worker arena of a sweep, at the cost of a few flat
+// copies instead of the addArc loop and the CSR pass. It reads only what
+// finish froze (targets, CSR index, pristine capacities), so src may be
+// probing concurrently. nw must come from getNetwork(src.n).
+func (nw *network) copyTopology(src *network) {
+	nw.to = append(nw.to[:0], src.to...)
+	nw.cap0 = append(nw.cap0[:0], src.cap0...)
+	nw.cap = append(nw.cap[:0], src.cap0...)
+	copy(nw.arcOff, src.arcOff)
+	nw.arcIdx = append(nw.arcIdx[:0], src.arcIdx...)
 }
 
 // rearm restores every capacity to the pristine post-finish snapshot, so a

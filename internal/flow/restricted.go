@@ -2,7 +2,6 @@ package flow
 
 import (
 	"context"
-	"sync/atomic"
 
 	"lhg/internal/graph"
 )
@@ -82,11 +81,11 @@ func (nw *network) armEdgePair(m int, src, dst graph.Edge) {
 	nw.cap[base+4*dst.V+2] = c
 }
 
-// RestrictedEdgeConnectivityCtx returns λ′(G) across `workers` goroutines
+// RestrictedEdgeConnectivity returns λ′(G) across `workers` goroutines
 // under ctx, or -1 when λ′ is undefined for g. The pairwise probe sweep
-// shares one arena per worker (rearm + terminal re-arm per probe) and
-// early-exits every flow at the shared running minimum.
-func RestrictedEdgeConnectivityCtx(ctx context.Context, g *graph.Graph, workers int) (int, error) {
+// runs on one arena (rearm + terminal re-arm per probe) and early-exits
+// every flow at the running minimum.
+func RestrictedEdgeConnectivity(ctx context.Context, g *graph.Graph, workers int) (int, error) {
 	if minDeg, _ := g.MinDegree(); g.Order() == 0 || minDeg == 0 {
 		return -1, ctx.Err()
 	}
@@ -96,66 +95,11 @@ func RestrictedEdgeConnectivityCtx(ctx context.Context, g *graph.Graph, workers 
 		return -1, ctx.Err()
 	}
 	n, m := g.Order(), len(edges)
-	workers = graph.ClampWorkers(workers, len(pairs))
-	if workers == 1 {
-		best := inf
-		nw := getNetwork(n + 2)
-		defer putNetwork(nw)
-		nw.watch(ctx)
-		nw.buildRestricted(g)
-		for _, p := range pairs {
-			if err := ctx.Err(); err != nil {
-				return 0, err
-			}
-			nw.armEdgePair(m, edges[p.i], edges[p.j])
-			if f := nw.maxflow(n, n+1, best); f < best {
-				best = f
-				if best == 0 {
-					break
-				}
-			}
-		}
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		return best, nil
-	}
-	var shared atomic.Int64
-	shared.Store(int64(inf))
-	runStealing(ctx, "flow.restricted.worker", len(pairs), workers, func(w int, next func() (int, bool)) {
-		nw := getNetwork(n + 2)
-		defer putNetwork(nw)
-		nw.watch(ctx)
-		built := false
-		for {
-			i, ok := next()
-			if !ok {
-				return
-			}
-			limit := int(shared.Load())
-			if limit == 0 {
-				return
-			}
-			if !built {
-				nw.buildRestricted(g)
-				built = true
-			}
+	return sweepMin(ctx, "flow.restricted.worker", len(pairs), workers, inf, 1, n+2,
+		func(nw *network) { nw.buildRestricted(g) },
+		func(nw *network, i, limit int) int {
 			p := pairs[i]
 			nw.armEdgePair(m, edges[p.i], edges[p.j])
-			if f := nw.maxflow(n, n+1, limit); f < limit && ctx.Err() == nil {
-				atomicMin(&shared, f)
-			}
-		}
-	})
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	return int(shared.Load()), nil
-}
-
-// RestrictedEdgeConnectivity returns λ′(G) (or -1 when undefined) without
-// cancellation. See RestrictedEdgeConnectivityCtx.
-func RestrictedEdgeConnectivity(g *graph.Graph, workers int) int {
-	v, _ := RestrictedEdgeConnectivityCtx(context.Background(), g, workers)
-	return v
+			return nw.maxflow(n, n+1, limit)
+		})
 }

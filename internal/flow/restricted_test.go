@@ -123,7 +123,7 @@ func TestRestrictedEdgeConnectivityFixtures(t *testing.T) {
 	}
 	for _, tc := range cases {
 		for _, workers := range []int{1, 4} {
-			if got := RestrictedEdgeConnectivity(tc.g, workers); got != tc.want {
+			if got := restrictedOf(tc.g, workers); got != tc.want {
 				t.Errorf("%s workers=%d: λ' = %d, want %d", tc.name, workers, got, tc.want)
 			}
 		}
@@ -153,7 +153,7 @@ func TestRestrictedEdgeConnectivityAgainstOracle(t *testing.T) {
 		g := b.Freeze()
 		want := oracleRestricted(g)
 		for _, workers := range []int{1, 4} {
-			if got := RestrictedEdgeConnectivity(g, workers); got != want {
+			if got := restrictedOf(g, workers); got != want {
 				t.Fatalf("seed=%d n=%d p=%d workers=%d: λ' = %d, oracle %d",
 					seed, n, percent, workers, got, want)
 			}
@@ -222,9 +222,9 @@ func TestSuperEdgeFromRestricted(t *testing.T) {
 		if !g.Connected() {
 			continue
 		}
-		lambda := EdgeConnectivity(g)
+		lambda := lambdaOf(g)
 		minDeg, _ := g.MinDegree()
-		lp := RestrictedEdgeConnectivity(g, 1)
+		lp := restrictedOf(g, 1)
 		derived := lambda >= 1 && lambda == minDeg && (lp == -1 || lp > lambda)
 		if want := oracleSuper(g); derived != want {
 			t.Fatalf("seed=%d n=%d p=%d: derived super=%t (λ=%d δ=%d λ'=%d), oracle %t",

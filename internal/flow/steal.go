@@ -124,15 +124,27 @@ func (q *stealQueue) steal(w int) (idx int, ok bool) {
 }
 
 // runStealing fans probes [0, total) across `workers` goroutines scheduled
-// by the work stealer. Each worker goroutine calls `body` once; body pulls
-// indices from next() until it returns ok=false (queue drained) and owns
-// whatever per-worker state it needs (pooled networks, built topologies).
-// spanName labels the per-worker trace spans. Cancellation is the body's
-// concern between probes (body sees ctx); runStealing always joins every
-// worker before returning.
+// by the work stealer (workers <= 0 means GOMAXPROCS). Each worker calls
+// `body` once; body pulls indices from next() until it returns ok=false
+// (queue drained or ctx canceled) and owns whatever per-worker state it
+// needs. spanName labels the per-worker trace spans. With one worker the
+// body runs inline on the caller as worker 0 and next() counts 0, 1, …
+// in order — no goroutine, no queue, no worker span. runStealing always
+// joins every worker before returning.
 func runStealing(ctx context.Context, spanName string, total, workers int, body func(w int, next func() (int, bool))) {
+	if total == 0 {
+		return
+	}
 	workers = graph.ClampWorkers(workers, total)
-	if workers < 1 || total == 0 {
+	if workers == 1 {
+		i := 0
+		body(0, func() (int, bool) {
+			if ctx.Err() != nil || i >= total {
+				return 0, false
+			}
+			i++
+			return i - 1, true
+		})
 		return
 	}
 	q := newStealQueue(total, workers)

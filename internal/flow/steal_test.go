@@ -118,7 +118,7 @@ func skewedFixture() *graph.Graph {
 // minimality sweep equals the serial one exactly.
 func TestStealProbeTotalsSerialParallel(t *testing.T) {
 	g := skewedFixture()
-	kappa, lambda := VertexConnectivity(g), EdgeConnectivity(g)
+	kappa, lambda := kappaOf(g), lambdaOf(g)
 	if kappa != 2 || lambda != 2 {
 		t.Fatalf("fixture κ=%d λ=%d, want 2/2", kappa, lambda)
 	}
@@ -127,7 +127,7 @@ func TestStealProbeTotalsSerialParallel(t *testing.T) {
 
 	count := func(workers int) (int64, []bool) {
 		obs.Reset()
-		out, err := EdgesRemovableCtx(context.Background(), g, edges, kappa, lambda, workers)
+		out, err := EdgesRemovable(context.Background(), g, edges, kappa, lambda, workers)
 		if err != nil {
 			t.Fatal(err)
 		}

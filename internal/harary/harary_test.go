@@ -1,6 +1,7 @@
 package harary
 
 import (
+	"context"
 	"testing"
 
 	"lhg/internal/flow"
@@ -60,10 +61,10 @@ func TestBuildIsExactlyKConnected(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Build(%d,%d): %v", n, k, err)
 			}
-			if got := flow.VertexConnectivity(g); got != k {
+			if got, _ := flow.VertexConnectivity(context.Background(), g, 1, flow.NoHints); got != k {
 				t.Fatalf("κ(H(%d,%d)) = %d, want %d", k, n, got, k)
 			}
-			if got := flow.EdgeConnectivity(g); got != k {
+			if got, _ := flow.EdgeConnectivity(context.Background(), g, 1, flow.NoHints); got != k {
 				t.Fatalf("λ(H(%d,%d)) = %d, want %d", k, n, got, k)
 			}
 		}

@@ -1,6 +1,7 @@
 package member
 
 import (
+	"context"
 	"testing"
 
 	"lhg/internal/check"
@@ -82,7 +83,7 @@ func TestCrashThenRepair(t *testing.T) {
 		t.Fatal("crashed members must be gone after repair")
 	}
 	// The repaired topology is a verified LHG again.
-	r, err := check.Verify(s.Graph(), 4)
+	r, err := check.Verify(context.Background(), s.Graph(), 4, check.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"context"
 	"testing"
 
 	"lhg/internal/check"
@@ -117,7 +118,7 @@ func TestIncrementalStaysLHGUnderLongGrowth(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ok, err := check.QuickVerify(o.Graph(), 3)
+	ok, err := check.QuickVerify(context.Background(), o.Graph(), 3, check.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"context"
 	"testing"
 
 	"lhg/internal/check"
@@ -54,7 +55,7 @@ func TestJoinGrowsAndStaysLHG(t *testing.T) {
 	if o.Generation() != 10 {
 		t.Fatalf("Generation = %d, want 10", o.Generation())
 	}
-	r, err := check.Verify(o.Graph(), 3)
+	r, err := check.Verify(context.Background(), o.Graph(), 3, check.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +193,7 @@ func TestLeaveNodeArbitrary(t *testing.T) {
 	if c.Removed < 3 {
 		t.Fatalf("removed %d links, want >= k", c.Removed)
 	}
-	r, err := check.Verify(o.Graph(), 3)
+	r, err := check.Verify(context.Background(), o.Graph(), 3, check.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

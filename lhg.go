@@ -413,7 +413,7 @@ func Verify(ctx context.Context, g *Graph, k int, opts ...Option) (*Report, erro
 	}
 	defer sp.End()
 	o := applyOptions(opts)
-	return check.VerifyCtx(ctx, g, k, check.Options{
+	return check.Verify(ctx, g, k, check.Options{
 		Workers:   o.workers,
 		Props:     o.props,
 		Sparsify:  o.sparsify,
@@ -426,7 +426,7 @@ func Verify(ctx context.Context, g *Graph, k int, opts ...Option) (*Report, erro
 // the report is honest three-valued state: refuted (exact witness found),
 // confirmed (a sufficient exact check passed), or screened (linear checks,
 // Monte Carlo contraction cuts and sampled exact probes all passed without
-// exhaustively proving the property). See check.ScreenCtx.
+// exhaustively proving the property). See check.Screen.
 func Screen(ctx context.Context, g *Graph, k int, opt ScreenOptions) (*ScreenReport, error) {
 	ctx, sp := trace.StartRoot(ctx, "lhg.Screen")
 	if sp.Live() {
@@ -434,7 +434,7 @@ func Screen(ctx context.Context, g *Graph, k int, opt ScreenOptions) (*ScreenRep
 		sp.SetAttr(trace.Int("k", int64(k)))
 	}
 	defer sp.End()
-	return check.ScreenCtx(ctx, g, k, opt)
+	return check.Screen(ctx, g, k, opt)
 }
 
 // DeltaVerifier carries verification state across a churn stream: the
@@ -483,16 +483,6 @@ func VerifyDelta(ctx context.Context, g *Graph, prev *Report, d EdgeDelta, n int
 	})
 }
 
-// VerifyParallel computes the same exact Report as Verify with the probes
-// fanned across a pool of `workers` goroutines (workers <= 0 means
-// GOMAXPROCS).
-//
-// Deprecated: Use Verify with a context and WithWorkers:
-// lhg.Verify(ctx, g, k, lhg.WithWorkers(workers)).
-func VerifyParallel(g *Graph, k, workers int) (*Report, error) {
-	return Verify(context.Background(), g, k, WithWorkers(workers))
-}
-
 // IsLHG is the fast boolean check of the four mandatory properties
 // (early-exit max flows, no exact connectivity values). Cancellation is
 // honored as in Verify and surfaces as ctx.Err(). Of the options only
@@ -502,7 +492,7 @@ func IsLHG(ctx context.Context, g *Graph, k int, opts ...Option) (bool, error) {
 	ctx, sp := trace.StartRoot(ctx, "lhg.IsLHG")
 	defer sp.End()
 	o := applyOptions(opts)
-	return check.QuickVerifyOpts(ctx, g, k, check.Options{Sparsify: o.sparsify, Prescreen: o.prescreen})
+	return check.QuickVerify(ctx, g, k, check.Options{Sparsify: o.sparsify, Prescreen: o.prescreen})
 }
 
 // Flood runs a round-synchronous flood from source, by default in the
@@ -736,13 +726,4 @@ func ResetTrace() { trace.Reset() }
 // format (load in chrome://tracing or Perfetto).
 func WriteTraceJSON(w io.Writer) error {
 	return trace.WriteChromeTrace(w, trace.Snapshot())
-}
-
-// BuildVariant constructs a randomly sampled (seeded, reproducible)
-// witness of the K-TREE or K-DIAMOND constraint for (n,k).
-//
-// Deprecated: Use Build with a context and WithSeed:
-// lhg.Build(ctx, c, n, k, lhg.WithSeed(seed)).
-func BuildVariant(c Constraint, n, k int, seed uint64) (*Graph, error) {
-	return Build(context.Background(), c, n, k, WithSeed(seed))
 }

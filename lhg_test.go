@@ -295,7 +295,7 @@ func TestNewMembershipFacade(t *testing.T) {
 }
 
 func TestBuildVariantFacade(t *testing.T) {
-	g, err := lhg.BuildVariant(lhg.KDiamond, 20, 3, 5)
+	g, err := lhg.Build(context.Background(), lhg.KDiamond, 20, 3, lhg.WithSeed(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestBuildVariantFacade(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("variant not an LHG: %v", err)
 	}
-	if _, err := lhg.BuildVariant(lhg.Harary, 20, 3, 5); err == nil {
+	if _, err := lhg.Build(context.Background(), lhg.Harary, 20, 3, lhg.WithSeed(5)); err == nil {
 		t.Fatal("harary has no variant builder")
 	}
 }

@@ -69,13 +69,14 @@ func TestScaleConnectivityExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !flow.IsKNodeConnected(g, 4) {
+	ctx := context.Background()
+	if ok, err := flow.IsKNodeConnected(ctx, g, 4); err != nil || !ok {
 		t.Fatal("K-DIAMOND(1000,4) must be 4-node-connected")
 	}
-	if !flow.IsKEdgeConnected(g, 4) {
+	if ok, err := flow.IsKEdgeConnected(ctx, g, 4); err != nil || !ok {
 		t.Fatal("K-DIAMOND(1000,4) must be 4-link-connected")
 	}
-	if flow.IsKNodeConnected(g, 5) {
+	if ok, err := flow.IsKNodeConnected(ctx, g, 5); err != nil || ok {
 		t.Fatal("a 4-regular graph cannot be 5-connected")
 	}
 }
