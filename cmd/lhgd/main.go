@@ -64,6 +64,7 @@ import (
 	"os"
 	"os/signal"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -178,6 +179,37 @@ type daemon struct {
 	ln     net.Listener
 	srv    *http.Server
 	served chan error
+	conns  connStates
+}
+
+// connStates records the last http.ConnState of every open connection, so
+// Shutdown can tell a request in flight from a connection that is merely
+// open.
+type connStates struct {
+	mu sync.Mutex
+	m  map[net.Conn]http.ConnState
+}
+
+func (c *connStates) set(conn net.Conn, st http.ConnState) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if st == http.StateClosed || st == http.StateHijacked {
+		delete(c.m, conn)
+		return
+	}
+	c.m[conn] = st
+}
+
+// serving reports whether any connection is in the middle of a request.
+func (c *connStates) serving() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, st := range c.m {
+		if st == http.StateActive {
+			return true
+		}
+	}
+	return false
 }
 
 // startDaemon binds addr (use port 0 for an ephemeral port) and serves the
@@ -192,12 +224,14 @@ func startDaemon(ctx context.Context, opts serve.Options, addr string) (*daemon,
 		return nil, err
 	}
 	d := &daemon{
-		ln: ln,
-		srv: &http.Server{
-			Handler:     serve.New(opts).Handler(),
-			BaseContext: func(net.Listener) context.Context { return ctx },
-		},
+		ln:     ln,
 		served: make(chan error, 1),
+		conns:  connStates{m: make(map[net.Conn]http.ConnState)},
+	}
+	d.srv = &http.Server{
+		Handler:     serve.New(opts).Handler(),
+		BaseContext: func(net.Listener) context.Context { return ctx },
+		ConnState:   d.conns.set,
 	}
 	go func() { d.served <- d.srv.Serve(ln) }()
 	return d, nil
@@ -206,12 +240,31 @@ func startDaemon(ctx context.Context, opts serve.Options, addr string) (*daemon,
 // Addr returns the bound listen address (host:port).
 func (d *daemon) Addr() string { return d.ln.Addr().String() }
 
-// Shutdown drains in-flight requests for up to five seconds, then closes
-// the server hard.
+// Shutdown stops accepting, waits up to five seconds for the requests in
+// flight to finish, then closes every connection still open. It returns
+// context.DeadlineExceeded when requests were still running at the end of
+// the grace period. A connection that has not carried a request yet does
+// not hold the drain up: http.Server.Shutdown alone waits until such a
+// connection is five seconds old, and a spare connection in a client's
+// keep-alive pool never sends one.
 func (d *daemon) Shutdown() error {
 	grace, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	err := d.srv.Shutdown(grace)
+	drained, stop := context.WithCancel(grace)
+	defer stop()
+	// Runs once the listener is closed, so no new connection arrives while
+	// it polls.
+	d.srv.RegisterOnShutdown(func() {
+		for d.conns.serving() && drained.Err() == nil {
+			time.Sleep(5 * time.Millisecond)
+		}
+		stop()
+	})
+	err := d.srv.Shutdown(drained)
+	if errors.Is(err, context.Canceled) {
+		err = grace.Err()
+	}
+	d.srv.Close()
 	if serveErr := <-d.served; serveErr != nil && !errors.Is(serveErr, http.ErrServerClosed) {
 		return serveErr
 	}

@@ -1,13 +1,18 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
+	"os"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -187,6 +192,14 @@ func TestLoadGeneratorCoalesces(t *testing.T) {
 // verify result is cached, p99 request latency over loopback TCP stays
 // under a millisecond. Skipped under the race detector, whose per-access
 // instrumentation dominates sub-millisecond budgets.
+//
+// The bound is on the daemon's cache path, not on the host's scheduler: a
+// sample during which the test process's threads waited more than 100 µs
+// in all on a CPU run queue (other processes had the CPUs) is taken again.
+// On a busy 2-vCPU host such waits put the p99 at 1-4 ms while the samples
+// that did not wait stay near 0.3 ms. A cache path that is itself slow
+// still fails, because its time is spent running or blocked, not waiting
+// for a CPU. Where the wait is not readable every sample counts.
 func TestCacheHitLatency(t *testing.T) {
 	if raceEnabled {
 		t.Skip("latency budget does not apply under the race detector")
@@ -203,9 +216,18 @@ func TestCacheHitLatency(t *testing.T) {
 		post(t, base+"/v1/verify", body, nil)
 	}
 
-	const samples = 300
+	const (
+		samples  = 300
+		maxWait  = 100 * time.Microsecond
+		attempts = 20 * samples
+	)
 	lat := make([]time.Duration, 0, samples)
-	for i := 0; i < samples; i++ {
+	retaken := 0
+	for i := 0; len(lat) < samples; i++ {
+		if i == attempts {
+			t.Fatalf("only %d of %d samples in %d attempts ran without waiting for a CPU", len(lat), samples, attempts)
+		}
+		waited0, ok0 := runQueueWait()
 		start := time.Now()
 		var resp serve.VerifyResponse
 		if status := post(t, base+"/v1/verify", body, &resp); status != http.StatusOK {
@@ -214,15 +236,46 @@ func TestCacheHitLatency(t *testing.T) {
 		if !resp.Cached {
 			t.Fatalf("sample %d missed the cache", i)
 		}
-		lat = append(lat, time.Since(start))
+		took := time.Since(start)
+		if waited1, ok1 := runQueueWait(); ok0 && ok1 && waited1-waited0 > maxWait {
+			retaken++
+			continue
+		}
+		lat = append(lat, took)
 	}
 	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
 	p50 := lat[samples/2]
 	p99 := lat[samples*99/100]
-	t.Logf("cache-hit latency over loopback: p50=%v p99=%v", p50, p99)
+	t.Logf("cache-hit latency over loopback: p50=%v p99=%v (%d samples retaken after a run-queue wait)", p50, p99, retaken)
 	if p99 >= time.Millisecond {
 		t.Fatalf("cache-hit p99 = %v, want < 1ms", p99)
 	}
+}
+
+// runQueueWait sums the time every thread of this process has spent
+// runnable but waiting for a CPU (the second field of Linux's
+// /proc/self/task/*/schedstat). ok is false where that is not readable.
+func runQueueWait() (waited time.Duration, ok bool) {
+	tasks, err := os.ReadDir("/proc/self/task")
+	if err != nil {
+		return 0, false
+	}
+	for _, task := range tasks {
+		data, err := os.ReadFile("/proc/self/task/" + task.Name() + "/schedstat")
+		if err != nil {
+			continue // the thread exited
+		}
+		fields := strings.Fields(string(data))
+		if len(fields) < 2 {
+			return 0, false
+		}
+		ns, err := strconv.ParseInt(fields[1], 10, 64)
+		if err != nil {
+			return 0, false
+		}
+		waited += time.Duration(ns)
+	}
+	return waited, true
 }
 
 // TestGracefulShutdown cancels the daemon context and checks the port is
@@ -244,6 +297,81 @@ func TestGracefulShutdown(t *testing.T) {
 	if _, err := http.Post("http://"+addr+"/v1/build", "application/json",
 		bytes.NewBufferString(`{}`)); err == nil {
 		t.Fatal("daemon still accepting connections after shutdown")
+	}
+}
+
+// TestShutdownSkipsUnusedConnections: a connection that never sends a
+// request, like a spare one in a client's keep-alive pool, must not hold
+// Shutdown for its five-second grace.
+func TestShutdownSkipsUnusedConnections(t *testing.T) {
+	d, err := startDaemon(context.Background(), serve.Options{CacheSize: 4}, "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("startDaemon: %v", err)
+	}
+	conn, err := net.Dial("tcp", d.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// A served request on a second connection guarantees the server has
+	// accepted by now.
+	if status := post(t, "http://"+d.Addr()+"/v1/build", `{"constraint":"ktree","n":8,"k":3}`, nil); status != http.StatusOK {
+		t.Fatalf("build: status %d", status)
+	}
+	start := time.Now()
+	if err := d.Shutdown(); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Fatalf("shutdown took %v with one unused connection open", took)
+	}
+}
+
+// TestShutdownDrainsRequestInFlight: Shutdown waits for a request that is
+// still being read, and that request gets its response.
+func TestShutdownDrainsRequestInFlight(t *testing.T) {
+	d, err := startDaemon(context.Background(), serve.Options{CacheSize: 4}, "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("startDaemon: %v", err)
+	}
+	conn, err := net.Dial("tcp", d.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	body := `{"constraint":"ktree","n":8,"k":3}`
+	head := fmt.Sprintf("POST /v1/build HTTP/1.1\r\nHost: lhgd\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n", len(body))
+	if _, err := io.WriteString(conn, head+body[:5]); err != nil {
+		t.Fatal(err)
+	}
+	// Wait until the server has read the headers and the request is active.
+	deadline := time.Now().Add(5 * time.Second)
+	for !d.conns.serving() {
+		if time.Now().After(deadline) {
+			t.Fatal("request never became active")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	done := make(chan error, 1)
+	go func() { done <- d.Shutdown() }()
+	select {
+	case err := <-done:
+		t.Fatalf("shutdown returned (%v) with a request in flight", err)
+	case <-time.After(200 * time.Millisecond):
+	}
+	if _, err := io.WriteString(conn, body[5:]); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatalf("in-flight request got no response: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("in-flight request: status %d", resp.StatusCode)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("shutdown: %v", err)
 	}
 }
 
