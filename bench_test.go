@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"lhg"
+	"lhg/internal/check"
 	"lhg/internal/classic"
 	"lhg/internal/core"
 	"lhg/internal/faultnet"
@@ -228,7 +229,8 @@ func BenchmarkVerifyMillionScreen(b *testing.B) {
 // into BENCH_sparsify.json by `make bench`: P1/P2/P4 verification of a
 // dense core–periphery graph — Harary H(4,512) for δ = κ = λ = 4, plus a
 // clique on the first 192 nodes for m ≈ 19k ≫ k·n — with the fast path
-// off ("full") and on ("sparsified"). Reports are bit-identical; only the
+// off ("full", check.SparsifyOff) and on ("sparsified", the default
+// check.SparsifyAuto). Reports are bit-identical; only the
 // κ/λ probe substrate differs (~19k edges vs the ≤ (δ+1)(n−1) ≈ 2.5k of
 // the Nagamochi–Ibaraki certificate).
 func BenchmarkVerifyDense(b *testing.B) {
@@ -242,19 +244,19 @@ func BenchmarkVerifyDense(b *testing.B) {
 		}
 	}
 	g := bb.Freeze()
-	props := lhg.PropNodeConnectivity | lhg.PropLinkConnectivity | lhg.PropDiameter
+	props := check.PropNodeConnectivity | check.PropLinkConnectivity | check.PropDiameter
 	for _, tc := range []struct {
 		name     string
-		sparsify bool
+		sparsify check.Sparsify
 	}{
-		{"full", false},
-		{"sparsified", true},
+		{"full", check.SparsifyOff},
+		{"sparsified", check.SparsifyAuto},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				r, err := lhg.Verify(context.Background(), g, k,
-					lhg.WithProperties(props), lhg.WithSparsify(tc.sparsify))
+				r, err := check.Verify(context.Background(), g, k,
+					check.Options{Props: props, Sparsify: tc.sparsify})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -369,7 +371,8 @@ func BenchmarkEdgeProbeSteadyStateMetricsOn(b *testing.B) {
 	}
 }
 
-// BenchmarkQuickVerify is the sweep-mode verification used by E4/E6.
+// BenchmarkQuickVerify is the boolean lhg.IsLHG verdict (the exact
+// verifier with all four properties) on K-TREE(n,4).
 func BenchmarkQuickVerify(b *testing.B) {
 	for _, n := range []int{32, 128, 512} {
 		g := buildOrFatal(b, lhg.KTree, n, 4)

@@ -61,11 +61,11 @@ func runE15(w io.Writer) error {
 		}
 		fmt.Fprintf(w, "%-22s %-12.1f %-12d %-14d\n", tc.name, mean, maxC, last)
 		// The grown topology must still be a verified LHG.
-		ok, err := check.QuickVerify(expCtx, gr.Snapshot(), k, check.Options{})
+		r, err := check.Verify(expCtx, gr.Snapshot(), k, check.Options{Workers: verifyWorkers})
 		if err != nil {
 			return err
 		}
-		if !ok {
+		if !r.IsLHG() {
 			return fmt.Errorf("%s: grown topology failed LHG verification", tc.name)
 		}
 	}

@@ -30,11 +30,11 @@ func runE21(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		ok, err := check.QuickVerify(expCtx, s.Graph(), k, check.Options{})
+		r, err := check.Verify(expCtx, s.Graph(), k, check.Options{Workers: verifyWorkers})
 		if err != nil {
 			return err
 		}
-		lhgCell := fmt.Sprintf("%t", ok)
+		lhgCell := fmt.Sprintf("%t", r.IsLHG())
 		if s.CrashedCount() > 0 {
 			lhgCell = "degraded"
 		}

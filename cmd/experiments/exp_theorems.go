@@ -30,11 +30,11 @@ func runE4(w io.Writer) error {
 				continue
 			}
 			built++
-			ok, verr := check.QuickVerify(expCtx, kt.Real.Graph, k, check.Options{})
+			r, verr := check.Verify(expCtx, kt.Real.Graph, k, check.Options{Workers: verifyWorkers})
 			if verr != nil {
 				return verr
 			}
-			if ok {
+			if r.IsLHG() {
 				verified++
 			} else {
 				mismatch++

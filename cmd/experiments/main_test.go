@@ -81,3 +81,36 @@ func TestWriteFigures(t *testing.T) {
 		t.Fatalf("figure misses blueprint labels:\n%s", data)
 	}
 }
+
+// TestTranscriptMatchesGolden runs every experiment in one process, as
+// `go run ./cmd/experiments` does, and holds the output to the checked-in
+// transcript byte for byte. Every experiment is seeded and prints no
+// timing, so the transcript changes only when a reported value does;
+// regenerate it with `go run ./cmd/experiments > docs/experiments_output.txt`
+// and review the diff.
+func TestTranscriptMatchesGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("..", "..", "docs", "experiments_output.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := run(nil, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(buf.Bytes(), want) {
+		return
+	}
+	got, wantLines := strings.Split(buf.String(), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(got) || i < len(wantLines); i++ {
+		var g, w string
+		if i < len(got) {
+			g = got[i]
+		}
+		if i < len(wantLines) {
+			w = wantLines[i]
+		}
+		if g != w {
+			t.Fatalf("transcript differs from docs/experiments_output.txt at line %d:\n got: %q\nwant: %q", i+1, g, w)
+		}
+	}
+}

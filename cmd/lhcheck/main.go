@@ -58,9 +58,7 @@ func run(args []string, in io.Reader, out io.Writer) error {
 		verbose    = fs.Bool("v", false, "print the per-phase timing breakdown of the verification run")
 		metrics    = fs.Bool("metrics", false, "dump the JSON metrics report to stderr at exit")
 		httpAddr   = fs.String("http", "", "serve /debug/vars, /metrics and /debug/pprof/ on this address for the run")
-		jsonOut    = fs.Bool("json", false, "emit the report as one JSON object on stdout (byte-stable: same graph, same bytes, regardless of -workers, -sparsify or -prescreen)")
-		sparsify   = fs.Bool("sparsify", true, "probe κ/λ on a sparse certificate when the graph is dense enough (results are identical; off = escape hatch)")
-		prescreen  = fs.Bool("prescreen", true, "seed the κ/λ sweeps with Monte Carlo contraction cuts on large graphs (results are identical; off = escape hatch)")
+		jsonOut    = fs.Bool("json", false, "emit the report as one JSON object on stdout (byte-stable: same graph, same bytes, regardless of -workers)")
 		tracePath  = fs.String("trace", "", "enable tracing and write the span flight recorder to this file (Chrome trace_event JSON) at exit")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -122,9 +120,7 @@ func run(args []string, in io.Reader, out io.Writer) error {
 		usedConstraint = c.String()
 	}
 
-	r, err := lhg.Verify(ctx, g, *k,
-		lhg.WithWorkers(*workers), lhg.WithSparsify(*sparsify),
-		lhg.WithPrescreen(*prescreen))
+	r, err := lhg.Verify(ctx, g, *k, lhg.WithWorkers(*workers))
 	if err != nil {
 		return err
 	}
@@ -162,8 +158,8 @@ func run(args []string, in io.Reader, out io.Writer) error {
 // stableReport is the -json output shape. It deliberately excludes every
 // run-dependent field of lhg.Report — worker count, phase wall times,
 // probe counts — so the bytes depend only on the graph and k: the same
-// input yields the same output across -workers values and -sparsify /
-// -prescreen on/off, which the golden tests enforce.
+// input yields the same output across -workers values, which the golden
+// tests enforce.
 type stableReport struct {
 	Constraint    string  `json:"constraint,omitempty"`
 	N             int     `json:"n"`

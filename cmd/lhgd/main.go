@@ -94,7 +94,6 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 		timeout   = fs.Duration("timeout", 2*time.Minute, "per-computation deadline; exceeding it returns 504 (0 = no limit)")
 		metrics   = fs.Bool("metrics", false, "dump the JSON metrics report to stderr at exit")
 		httpAddr  = fs.String("http", "", "serve /debug/vars, /metrics and /debug/pprof/ on this extra address")
-		sparsify  = fs.Bool("sparsify", true, "probe κ/λ on a sparse certificate when the graph is dense enough (results are identical; off = escape hatch)")
 		sessions  = fs.Int("sessions", 0, "max live /v1/reconfigure topology sessions (0 = default 1024, negative disables the endpoint)")
 		notrace   = fs.Bool("notrace", false, "disable request tracing (on by default: X-Trace-Id responses, traceparent joins, /debug/trace export)")
 		verbose   = fs.Bool("v", false, "debug-level logging (per-request access lines)")
@@ -132,7 +131,6 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 		CacheSize:       *cache,
 		Workers:         *workers,
 		Timeout:         *timeout,
-		DisableSparsify: !*sparsify,
 		MaxSessions:     *sessions,
 		Logger:          logger,
 		StreamHeartbeat: *heartbeat,

@@ -28,28 +28,22 @@ func checkGolden(t *testing.T, name string, got []byte) {
 }
 
 // TestSweepVerifyGoldenByteStable enforces the -verify CSV contract: the
-// kappa/lambda columns are byte-identical across -workers, -sparsify and
-// -prescreen settings, and the whole CSV matches the checked-in golden.
+// kappa/lambda columns are byte-identical across -workers settings, and
+// the whole CSV matches the checked-in golden.
 func TestSweepVerifyGoldenByteStable(t *testing.T) {
 	base := []string{"-k", "3", "-from", "10", "-to", "20", "-step", "5",
 		"-families", "harary,kdiamond", "-verify"}
 	var ref []byte
 	for _, workers := range []string{"1", "4"} {
-		for _, sparsify := range []string{"true", "false"} {
-			for _, prescreen := range []string{"true", "false"} {
-				args := append(append([]string{}, base...),
-					"-workers", workers, "-sparsify", sparsify, "-prescreen", prescreen)
-				var buf bytes.Buffer
-				if err := run(args, &buf); err != nil {
-					t.Fatal(err)
-				}
-				if ref == nil {
-					ref = append([]byte(nil), buf.Bytes()...)
-				} else if !bytes.Equal(ref, buf.Bytes()) {
-					t.Fatalf("-workers %s -sparsify %s -prescreen %s changed the bytes:\n%s\nvs\n%s",
-						workers, sparsify, prescreen, buf.Bytes(), ref)
-				}
-			}
+		args := append(append([]string{}, base...), "-workers", workers)
+		var buf bytes.Buffer
+		if err := run(args, &buf); err != nil {
+			t.Fatal(err)
+		}
+		if ref == nil {
+			ref = append([]byte(nil), buf.Bytes()...)
+		} else if !bytes.Equal(ref, buf.Bytes()) {
+			t.Fatalf("-workers %s changed the bytes:\n%s\nvs\n%s", workers, buf.Bytes(), ref)
 		}
 	}
 	checkGolden(t, "sweep-verify.golden", ref)

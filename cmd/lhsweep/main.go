@@ -10,8 +10,7 @@
 //	lhsweep -k 4 -from 16 -to 4096 -step x2 -progress -metrics > sweep.csv
 //
 // Columns: family,n,k,edges,diameter,rounds,messages,moore[,kappa,lambda][,gap]
-// (-verify adds the exact connectivity columns; -sparsify selects the
-// certificate fast path for them, with identical values either way)
+// (-verify adds the exact connectivity columns)
 //
 // Only the CSV goes to stdout; progress lines, the -metrics JSON dump and
 // the -http endpoint announcement all go to stderr, so redirecting stdout
@@ -51,8 +50,6 @@ func run(args []string, out io.Writer) error {
 		step      = fs.String("step", "x2", "sweep step: a number (additive) or xN (multiplicative)")
 		doGap     = fs.Bool("spectral", false, "include the spectral gap column (k-regular sizes only, slower)")
 		verify    = fs.Bool("verify", false, "include exact kappa and lambda columns (max-flow verification per size, slower)")
-		sparsify  = fs.Bool("sparsify", true, "with -verify: probe κ/λ on a sparse certificate when the graph is dense enough (results are identical)")
-		prescreen = fs.Bool("prescreen", true, "with -verify: seed the κ/λ sweeps with Monte Carlo contraction cuts on large graphs (results are identical)")
 		families  = fs.String("families", "harary,jd,ktree,kdiamond", "comma-separated constraint list")
 		workers   = fs.Int("workers", 0, "goroutines for the diameter sweep (0 = all cores)")
 		progress  = fs.Bool("progress", false, "report sweep progress on stderr")
@@ -137,9 +134,7 @@ func run(args []string, out io.Writer) error {
 			if *verify {
 				r, err := lhg.Verify(ctx, g, *k,
 					lhg.WithWorkers(*workers),
-					lhg.WithProperties(lhg.PropNodeConnectivity|lhg.PropLinkConnectivity),
-					lhg.WithSparsify(*sparsify),
-					lhg.WithPrescreen(*prescreen))
+					lhg.WithProperties(lhg.PropNodeConnectivity|lhg.PropLinkConnectivity))
 				if err != nil {
 					return err
 				}

@@ -54,9 +54,6 @@ func TestVerifyCtxPreCanceled(t *testing.T) {
 	if _, err := Verify(ctx, complete(8), 3, Options{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Verify: err = %v, want context.Canceled", err)
 	}
-	if _, err := QuickVerify(ctx, complete(8), 3, Options{}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("QuickVerify: err = %v, want context.Canceled", err)
-	}
 }
 
 // TestVerifyCtxCorrectAfterCancellation: a canceled campaign must not

@@ -33,7 +33,6 @@ import (
 // per-phase probe deltas in Report come from the authoritative counters.
 var (
 	mVerifyRuns      = obs.NewCounter("check.verify.runs")
-	mQuickRuns       = obs.NewCounter("check.quickverify.runs")
 	gVerifyWorkers   = obs.NewGauge("check.verify.workers")
 	mP3EdgesProbed   = obs.NewCounter("check.p3.edges_probed")
 	tPhaseKappa      = obs.NewTimer("check.phase.kappa")
@@ -57,51 +56,41 @@ var (
 // historical probe-everything path.
 const SparsifyCutoff = 2
 
-// SparseProbeView resolves the graph the κ/λ connectivity probes should
-// run on under the given policy. The second return reports whether a
-// certificate is in use.
+// sparseProbeView resolves the graph the κ/λ connectivity probes run on
+// under the given policy: g itself when the policy or the density gate
+// (m > SparsifyCutoff·k·n) rules the certificate out, otherwise a
+// Nagamochi–Ibaraki certificate built inside its own "sparsify" phase.
 //
 // The certificate is built for q = δ(G)+1, one past the minimum degree.
 // Since κ(G) <= λ(G) <= δ(G) < q (Whitney), the Nagamochi–Ibaraki bounds
 // pin both connectivity values of the certificate to the exact values of
 // G — not just the "≥ k" verdicts — so every field of the Report is
-// bit-identical with and without sparsification. P3 minimality and P4
-// distance probes must NOT use the view: removing edges changes distances
-// and per-edge removability, so those phases always run on g itself.
-func SparseProbeView(g *graph.Graph, k int, policy Sparsify) (*graph.Graph, bool) {
-	minDeg, _ := g.MinDegree()
-	return sparseView(g, k, minDeg+1, policy)
-}
-
-// sparsifyEligible is the cheap pre-gate shared by the exact and quick
-// drivers: it decides from the policy and the edge count alone whether
-// building a certificate is worth attempting.
-func sparsifyEligible(g *graph.Graph, k int, policy Sparsify) bool {
-	if policy == SparsifyOff {
-		return false
-	}
+// bit-identical with and without sparsification. Under SparsifyAuto a
+// certificate that would shed no edge (dense-regular graphs, where δ ≈
+// 2m/n keeps every edge in the first δ forests) is dropped for g. P3
+// minimality and P4 distance probes must NOT use the view: removing edges
+// changes distances and per-edge removability, so those phases always run
+// on g itself.
+func sparseProbeView(ph phaseRunner, g *graph.Graph, k int, policy Sparsify) (*graph.Graph, error) {
 	n, m := g.Order(), g.Size()
-	if n < 2 || m == 0 {
-		return false
+	if policy == SparsifyOff || n < 2 || m == 0 ||
+		(policy != SparsifyAlways && m <= SparsifyCutoff*k*n) {
+		return g, nil
 	}
-	return policy == SparsifyAlways || m > SparsifyCutoff*k*n
-}
-
-// sparseView builds the q-certificate probe view, falling back to g when
-// the certificate would not actually shed edges (dense-regular graphs,
-// where δ ≈ 2m/n keeps every edge in the first δ forests).
-func sparseView(g *graph.Graph, k, q int, policy Sparsify) (*graph.Graph, bool) {
-	if !sparsifyEligible(g, k, policy) {
-		return g, false
-	}
-	cert := graph.SparseCertificate(g, q)
-	if cert.Size() >= g.Size() && policy != SparsifyAlways {
-		return g, false
-	}
-	mSparsifyPasses.Inc()
-	mSparsifyKept.Add(int64(cert.Size()))
-	mSparsifyDropped.Add(int64(g.Size() - cert.Size()))
-	return cert, true
+	view := g
+	err := ph.run("sparsify", tPhaseSparsify, func(context.Context) error {
+		minDeg, _ := g.MinDegree()
+		cert := graph.SparseCertificate(g, minDeg+1)
+		if cert.Size() >= m && policy != SparsifyAlways {
+			return nil
+		}
+		mSparsifyPasses.Inc()
+		mSparsifyKept.Add(int64(cert.Size()))
+		mSparsifyDropped.Add(int64(m - cert.Size()))
+		view = cert
+		return nil
+	})
+	return view, err
 }
 
 // DiameterSlack is the additive slack allowed on top of 2*log_{k-1}(n) when
@@ -160,6 +149,42 @@ type PhaseTiming struct {
 	Phase  string  `json:"phase"`
 	Ms     float64 `json:"ms"`
 	Probes int64   `json:"probes,omitempty"`
+}
+
+// phaseRunner runs the phases of one verification (span prefix "check.")
+// or screen ("check.screen.") run and records them into *phases.
+type phaseRunner struct {
+	ctx        context.Context
+	spanPrefix string
+	phases     *[]PhaseTiming
+}
+
+// run opens a span around one phase and records its PhaseTiming from the
+// span's measured duration — the span is the single timing source,
+// whether or not tracing is enabled (see trace.StartTimed). fn gets a
+// context that descends from the span, so flow-layer worker spans nest
+// under their phase; the obs timer observes the same duration, and
+// max-flow probes are attributed via the shared flow counter. A canceled
+// ctx aborts before fn runs; fn's error (cancellation) aborts the run.
+func (ph phaseRunner) run(name string, t *obs.Timer, fn func(context.Context) error) error {
+	if err := ph.ctx.Err(); err != nil {
+		return err
+	}
+	p0 := mFlowProbes.Value()
+	pctx, span := trace.StartTimed(ph.ctx, ph.spanPrefix+name)
+	err := fn(pctx)
+	probes := mFlowProbes.Value() - p0
+	if sp := span.Span(); sp.Live() {
+		sp.SetAttr(trace.Int("probes", probes))
+	}
+	d := span.End()
+	t.Observe(d)
+	*ph.phases = append(*ph.phases, PhaseTiming{
+		Phase:  name,
+		Ms:     float64(d) / 1e6,
+		Probes: probes,
+	})
+	return err
 }
 
 // PhaseBreakdown renders the structured timing block printed by
@@ -236,45 +261,15 @@ func Verify(ctx context.Context, g *graph.Graph, k int, opt Options) (*Report, e
 	mVerifyRuns.Inc()
 	gVerifyWorkers.Set(int64(workers))
 
-	// runPhase opens a span around one verification phase and fills
-	// Report.Phases from the span's measured duration — the span is the
-	// single timing source, whether or not tracing is enabled (see
-	// trace.StartTimed). The phase context descends from the span so
-	// flow-layer worker spans nest under their phase, the obs timers
-	// observe the same duration, and max-flow probes are attributed via
-	// the shared flow counter. A phase error (cancellation) aborts the
-	// run.
-	runPhase := func(name string, t *obs.Timer, fn func(context.Context) error) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		p0 := mFlowProbes.Value()
-		pctx, span := trace.StartTimed(ctx, "check."+name)
-		err := fn(pctx)
-		probes := mFlowProbes.Value() - p0
-		if sp := span.Span(); sp.Live() {
-			sp.SetAttr(trace.Int("probes", probes))
-		}
-		d := span.End()
-		t.Observe(d)
-		r.Phases = append(r.Phases, PhaseTiming{
-			Phase:  name,
-			Ms:     float64(d) / 1e6,
-			Probes: probes,
-		})
-		return err
-	}
+	ph := phaseRunner{ctx: ctx, spanPrefix: "check.", phases: &r.Phases}
 
 	// The κ/λ probes may run on a sparse certificate instead of g (see
-	// SparseProbeView — the q = δ+1 choice keeps the exact values, not
+	// sparseProbeView — the q = δ+1 choice keeps the exact values, not
 	// just the verdicts, identical). P3 and P4 below always use g itself.
 	probeView := g
-	if props&(PropNodeConnectivity|PropLinkConnectivity) != 0 &&
-		sparsifyEligible(g, k, opt.Sparsify) {
-		if err := runPhase("sparsify", tPhaseSparsify, func(context.Context) error {
-			probeView, _ = SparseProbeView(g, k, opt.Sparsify)
-			return nil
-		}); err != nil {
+	if props&(PropNodeConnectivity|PropLinkConnectivity) != 0 {
+		var err error
+		if probeView, err = sparseProbeView(ph, g, k, opt.Sparsify); err != nil {
 			return nil, err
 		}
 	}
@@ -286,7 +281,7 @@ func Verify(ctx context.Context, g *graph.Graph, k int, opt Options) (*Report, e
 	hints := flow.NoHints
 	if props&(PropNodeConnectivity|PropLinkConnectivity) != 0 &&
 		prescreenEligible(g, opt.Prescreen) {
-		if err := runPhase("prescreen", tPhasePrescreen, func(pctx context.Context) error {
+		if err := ph.run("prescreen", tPhasePrescreen, func(pctx context.Context) error {
 			hints = prescreenHints(g)
 			return pctx.Err()
 		}); err != nil {
@@ -295,7 +290,7 @@ func Verify(ctx context.Context, g *graph.Graph, k int, opt Options) (*Report, e
 	}
 
 	if props.Has(PropNodeConnectivity) {
-		if err := runPhase("kappa", tPhaseKappa, func(pctx context.Context) (err error) {
+		if err := ph.run("kappa", tPhaseKappa, func(pctx context.Context) (err error) {
 			r.NodeConnectivity, err = flow.VertexConnectivity(pctx, probeView, workers, hints)
 			return err
 		}); err != nil {
@@ -304,7 +299,7 @@ func Verify(ctx context.Context, g *graph.Graph, k int, opt Options) (*Report, e
 		r.KNodeConnected = r.NodeConnectivity >= k
 	}
 	if props.Has(PropLinkConnectivity) {
-		if err := runPhase("lambda", tPhaseLambda, func(pctx context.Context) (err error) {
+		if err := ph.run("lambda", tPhaseLambda, func(pctx context.Context) (err error) {
 			r.EdgeConnectivity, err = flow.EdgeConnectivity(pctx, probeView, workers, hints)
 			return err
 		}); err != nil {
@@ -314,7 +309,7 @@ func Verify(ctx context.Context, g *graph.Graph, k int, opt Options) (*Report, e
 	}
 
 	if props.Has(PropRestrictedEdge) {
-		if err := runPhase("restricted", tPhaseRestricted, func(pctx context.Context) (err error) {
+		if err := ph.run("restricted", tPhaseRestricted, func(pctx context.Context) (err error) {
 			r.RestrictedEdgeConnectivity, err = flow.RestrictedEdgeConnectivity(pctx, g, workers)
 			return err
 		}); err != nil {
@@ -329,7 +324,7 @@ func Verify(ctx context.Context, g *graph.Graph, k int, opt Options) (*Report, e
 	}
 
 	if props.Has(PropLinkMinimality) {
-		if err := runPhase("minimality", tPhaseMinimality, func(pctx context.Context) (err error) {
+		if err := ph.run("minimality", tPhaseMinimality, func(pctx context.Context) (err error) {
 			r.LinkMinimal, err = verifyLinkMinimality(pctx, g, r, workers)
 			return err
 		}); err != nil {
@@ -338,7 +333,7 @@ func Verify(ctx context.Context, g *graph.Graph, k int, opt Options) (*Report, e
 	}
 
 	if props.Has(PropDiameter) {
-		if err := runPhase("distances", tPhaseDistances, func(pctx context.Context) (err error) {
+		if err := ph.run("distances", tPhaseDistances, func(pctx context.Context) (err error) {
 			r.Diameter, r.AvgPathLen, err = g.DistanceStatsCtx(pctx, workers)
 			return err
 		}); err != nil {
@@ -403,68 +398,6 @@ func verifyLinkMinimality(ctx context.Context, g *graph.Graph, r *Report, worker
 // Violation returns the edge witnessing a P3 failure, if any.
 func (r *Report) Violation() (graph.Edge, bool) {
 	return r.ViolatingEdge, r.hasViolation
-}
-
-// QuickVerify checks only the boolean LHG properties with early-exit flows
-// (no exact connectivity values, no P3 edge sweep for regular graphs, no
-// average path length). It is the fast path used by large sweeps.
-// Cancellation is polled between probes and between augmenting-path
-// iterations, and surfaces as ctx.Err().
-//
-// Of the Options only the Sparsify and Prescreen policies are consulted —
-// the quick path is inherently serial and always checks every property.
-// Because it only needs the boolean "≥ k" verdicts, its certificate uses
-// q = k (not δ+1): κ(G) >= k iff κ(cert_k) >= k, and likewise for λ, so
-// the verdict is unchanged while the view is as small as the NI bound
-// allows.
-func QuickVerify(ctx context.Context, g *graph.Graph, k int, opt Options) (bool, error) {
-	n := g.Order()
-	if k < 1 || n <= k {
-		return false, fmt.Errorf("check: invalid pair n=%d k=%d", n, k)
-	}
-	mQuickRuns.Inc()
-	if k >= 2 {
-		// Linear-time pre-filter: a single articulation point or bridge
-		// already refutes 2-connectivity, far cheaper than max-flow.
-		if len(g.ArticulationPoints()) > 0 || len(g.Bridges()) > 0 {
-			return false, nil
-		}
-	}
-	if prescreenEligible(g, opt.Prescreen) {
-		// A contraction round that surfaces a real cut below k refutes P2
-		// outright — the cut is certified, no flow needed to confirm it.
-		if h := prescreenHints(g); h.Upper >= 0 && h.Upper < k {
-			return false, nil
-		}
-	}
-	view, _ := sparseView(g, k, k, opt.Sparsify)
-	if ok, err := flow.IsKNodeConnected(ctx, view, k); err != nil || !ok {
-		return false, err
-	}
-	if ok, err := flow.IsKEdgeConnected(ctx, view, k); err != nil || !ok {
-		return false, err
-	}
-	diam, _, err := g.DistanceStatsCtx(ctx, 1)
-	if err != nil {
-		return false, err
-	}
-	if diam < 0 || diam > DiameterBound(n, k) {
-		return false, nil
-	}
-	if g.IsRegular(k) {
-		return true, nil // P3 immediate for k-regular k-connected graphs
-	}
-	for _, e := range g.Edges() {
-		mP3EdgesProbed.Inc()
-		removable, err := flow.EdgeIsRemovableCtx(ctx, g, e, k, k)
-		if err != nil {
-			return false, err
-		}
-		if removable {
-			return false, nil
-		}
-	}
-	return true, nil
 }
 
 // MooreDiameterLowerBound returns the smallest diameter any graph with n

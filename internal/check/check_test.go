@@ -166,47 +166,10 @@ func TestDiameterBound(t *testing.T) {
 	}
 }
 
-func TestQuickVerifyAgreesWithVerify(t *testing.T) {
-	tests := []struct {
-		name string
-		g    *graph.Graph
-		k    int
-	}{
-		{name: "petersen", g: petersen(), k: 3},
-		{name: "K6", g: complete(6), k: 5},
-		{name: "C8 with chord", g: chorded(), k: 2},
-		{name: "underconnected", g: cycle(6), k: 3},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			r, err := Verify(context.Background(), tt.g, tt.k, Options{Workers: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			quickOK, err := QuickVerify(context.Background(), tt.g, tt.k, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if quickOK != r.IsLHG() {
-				t.Fatalf("QuickVerify=%t, Verify.IsLHG=%t (%s)", quickOK, r.IsLHG(), r)
-			}
-		})
-	}
-}
-
 func chorded() *graph.Graph {
 	b := cycle(8).Thaw()
 	b.MustAddEdge(0, 4)
 	return b.Freeze()
-}
-
-func TestQuickVerifyErrors(t *testing.T) {
-	if _, err := QuickVerify(context.Background(), cycle(4), 0, Options{}); err == nil {
-		t.Fatal("k=0 must error")
-	}
-	if _, err := QuickVerify(context.Background(), cycle(4), 4, Options{}); err == nil {
-		t.Fatal("k>=n must error")
-	}
 }
 
 func TestReportString(t *testing.T) {

@@ -245,7 +245,7 @@ func deltaFastPath(ctx context.Context, prevG *graph.Graph, prev *Report, d grap
 		}
 		mDeltaPairs.Inc()
 		if !next.HasEdge(p[0], p[1]) {
-			ok, err := flow.VertexCutAtLeastCtx(ctx, next, p[0], p[1], c)
+			ok, err := flow.VertexCutAtLeast(ctx, next, p[0], p[1], c)
 			if err != nil {
 				return nil, false, err
 			}
@@ -254,7 +254,7 @@ func deltaFastPath(ctx context.Context, prevG *graph.Graph, prev *Report, d grap
 				break
 			}
 		}
-		ok, err := flow.EdgeCutAtLeastCtx(ctx, next, p[0], p[1], c)
+		ok, err := flow.EdgeCutAtLeast(ctx, next, p[0], p[1], c)
 		if err != nil {
 			return nil, false, err
 		}

@@ -46,7 +46,8 @@ const PrescreenCutoff = 512
 // function of the graph so reports and goldens are reproducible run to run.
 const prescreenSeed = 0x6c68672d70726573 // "lhg-pres"
 
-// prescreenEligible mirrors sparsifyEligible for the prescreen policy.
+// prescreenEligible is the prescreen policy gate, the counterpart of the
+// density gate in sparseProbeView.
 func prescreenEligible(g *graph.Graph, policy Prescreen) bool {
 	if policy == PrescreenOff {
 		return false

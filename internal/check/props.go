@@ -86,7 +86,7 @@ func (p Properties) String() string {
 }
 
 // Sparsify selects the sparse-certificate policy for the κ/λ probe phases
-// (see SparseProbeView). The zero value is the automatic fast path, so the
+// (see sparseProbeView). The zero value is the automatic fast path, so the
 // zero Options keeps sparsification on by default.
 type Sparsify uint8
 
@@ -96,8 +96,8 @@ const (
 	// to pay for itself (m > SparsifyCutoff·k·n and the certificate is
 	// strictly smaller than the graph). This is the default.
 	SparsifyAuto Sparsify = iota
-	// SparsifyOff always probes the full edge set — the escape hatch and
-	// the reference side of the differential tests.
+	// SparsifyOff always probes the full edge set — the reference side of
+	// the differential tests and of the full-vs-sparsified benchmark.
 	SparsifyOff
 	// SparsifyAlways probes the certificate regardless of density. Meant
 	// for tests that must exercise the sparsified path on small inputs;
@@ -130,8 +130,8 @@ const (
 	// enough for them to pay for themselves (n >= PrescreenCutoff). This is
 	// the default.
 	PrescreenAuto Prescreen = iota
-	// PrescreenOff skips the prescreen — the escape hatch and the reference
-	// side of the differential tests.
+	// PrescreenOff skips the prescreen — the reference side of the
+	// differential tests.
 	PrescreenOff
 	// PrescreenAlways runs the contraction rounds regardless of size. Meant
 	// for tests that must exercise the prescreened path on small inputs.

@@ -8,7 +8,6 @@ import (
 	"lhg/internal/flow"
 	"lhg/internal/graph"
 	"lhg/internal/obs"
-	"lhg/internal/obs/trace"
 )
 
 // Screen is the scale tier of the verifier: a certified screen for
@@ -137,23 +136,7 @@ func Screen(ctx context.Context, g *graph.Graph, k int, opt ScreenOptions) (*Scr
 	mScreenRuns.Inc()
 	r := &ScreenReport{N: n, M: g.Size(), K: k, DiameterBound: DiameterBound(n, k)}
 
-	runPhase := func(name string, t *obs.Timer, fn func(context.Context) error) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		p0 := mFlowProbes.Value()
-		pctx, span := trace.StartTimed(ctx, "check.screen."+name)
-		err := fn(pctx)
-		probes := mFlowProbes.Value() - p0
-		d := span.End()
-		t.Observe(d)
-		r.Phases = append(r.Phases, PhaseTiming{
-			Phase:  name,
-			Ms:     float64(d) / 1e6,
-			Probes: probes,
-		})
-		return err
-	}
+	ph := phaseRunner{ctx: ctx, spanPrefix: "check.screen.", phases: &r.Phases}
 
 	// Linear pass: exact O(n+m) facts. Degrees bound both connectivities
 	// (κ ≤ λ ≤ δ), one BFS decides connectedness and ecc(0), and the
@@ -161,7 +144,7 @@ func Screen(ctx context.Context, g *graph.Graph, k int, opt ScreenOptions) (*Scr
 	// k ≥ 2 and confirms k == 2 outright.
 	var bridges int
 	var articulations int
-	if err := runPhase("linear", tPhaseScreenLinear, func(context.Context) error {
+	if err := ph.run("linear", tPhaseScreenLinear, func(context.Context) error {
 		r.MinDegree, _ = g.MinDegree()
 		r.MaxDegree, _ = g.MaxDegree()
 		r.Regular = g.IsRegular(k)
@@ -228,7 +211,7 @@ func Screen(ctx context.Context, g *graph.Graph, k int, opt ScreenOptions) (*Scr
 	var hints flow.SweepHints
 	needCuts := r.Connected && r.LinkConn == ScreenScreened
 	if needCuts {
-		if err := runPhase("prescreen", tPhaseScreenKarger, func(pctx context.Context) error {
+		if err := ph.run("prescreen", tPhaseScreenKarger, func(pctx context.Context) error {
 			hints = prescreenHints(g)
 			return pctx.Err()
 		}); err != nil {
@@ -249,7 +232,7 @@ func Screen(ctx context.Context, g *graph.Graph, k int, opt ScreenOptions) (*Scr
 	// at or above k raise confidence but cannot confirm a global
 	// property, so passing verdicts stay ScreenScreened.
 	if r.Connected && (r.LinkConn == ScreenScreened || r.NodeConn == ScreenScreened) {
-		if err := runPhase("confirm", tPhaseScreenConfirm, func(pctx context.Context) error {
+		if err := ph.run("confirm", tPhaseScreenConfirm, func(pctx context.Context) error {
 			rng := uint64(prescreenSeed) ^ uint64(n)<<20 ^ uint64(r.M)
 			for i := 0; i < samples; i++ {
 				if err := pctx.Err(); err != nil {

@@ -103,24 +103,35 @@ func TestSparsifyAutoSkipsSparseGraphs(t *testing.T) {
 	}
 }
 
-// TestSparseProbeViewPolicies covers the helper directly.
+// TestSparseProbeViewPolicies covers the helper directly: the view is g
+// itself when the policy or the density gate rules the certificate out,
+// and a "sparsify" phase is recorded exactly when the gate lets it run.
 func TestSparseProbeViewPolicies(t *testing.T) {
-	g := denseFixture(t, 48, 3, 24)
-	if v, ok := SparseProbeView(g, 3, SparsifyOff); ok || v != g {
-		t.Fatal("off must return the graph itself")
+	view := func(g *graph.Graph, policy Sparsify) (*graph.Graph, []PhaseTiming) {
+		t.Helper()
+		var phases []PhaseTiming
+		v, err := sparseProbeView(phaseRunner{ctx: context.Background(), spanPrefix: "check.", phases: &phases}, g, 3, policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v, phases
 	}
-	v, ok := SparseProbeView(g, 3, SparsifyAuto)
-	if !ok || v.Size() >= g.Size() {
-		t.Fatalf("auto must sparsify the dense fixture: ok=%t m=%d", ok, v.Size())
+	g := denseFixture(t, 48, 3, 24)
+	if v, phases := view(g, SparsifyOff); v != g || len(phases) != 0 {
+		t.Fatal("off must return the graph itself without a phase")
+	}
+	v, phases := view(g, SparsifyAuto)
+	if v == g || v.Size() >= g.Size() || len(phases) != 1 || phases[0].Phase != "sparsify" {
+		t.Fatalf("auto must sparsify the dense fixture: m=%d phases=%+v", v.Size(), phases)
 	}
 	if v.Order() != g.Order() {
 		t.Fatal("view must span the same nodes")
 	}
 	sparse := petersen()
-	if _, ok := SparseProbeView(sparse, 3, SparsifyAuto); ok {
+	if v, phases := view(sparse, SparsifyAuto); v != sparse || len(phases) != 0 {
 		t.Fatal("auto must skip sparse graphs")
 	}
-	if _, ok := SparseProbeView(sparse, 3, SparsifyAlways); !ok {
-		t.Fatal("always must force the certificate")
+	if v, phases := view(sparse, SparsifyAlways); v.Size() != sparse.Size() || len(phases) != 1 {
+		t.Fatalf("always must force the certificate: m=%d phases=%+v", v.Size(), phases)
 	}
 }

@@ -45,12 +45,12 @@ func TestHypercubeIsLHGForItsPair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, err := check.QuickVerify(context.Background(), g, 4, check.Options{})
+	r, err := check.Verify(context.Background(), g, 4, check.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ok {
-		t.Fatal("Q4 must satisfy the LHG properties for (16,4)")
+	if !r.IsLHG() {
+		t.Fatalf("Q4 must satisfy the LHG properties for (16,4): %s", r)
 	}
 }
 

@@ -43,8 +43,8 @@ func TestGrowerInitialGraphIsMinimalLHG(t *testing.T) {
 			if !g.IsRegular(k) {
 				t.Fatalf("initial graph must be k-regular")
 			}
-			ok, err := check.QuickVerify(context.Background(), g, k, check.Options{})
-			if err != nil || !ok {
+			r, err := check.Verify(context.Background(), g, k, check.Options{Workers: 1})
+			if err != nil || !r.IsLHG() {
 				t.Fatalf("initial graph is not an LHG (k=%d): %v", k, err)
 			}
 		}
@@ -66,12 +66,11 @@ func TestKTreeGrowerEveryStepIsLHG(t *testing.T) {
 			}
 			n := gr.N()
 			g := gr.Snapshot()
-			ok, err := check.QuickVerify(context.Background(), g, k, check.Options{})
+			r, err := check.Verify(context.Background(), g, k, check.Options{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !ok {
-				r, _ := check.Verify(context.Background(), g, k, check.Options{Workers: 1})
+			if !r.IsLHG() {
 				t.Fatalf("k=%d n=%d: grower graph is not an LHG: %s", k, n, r)
 			}
 			if g.IsRegular(k) != RegularKTree(n, k) {
@@ -96,12 +95,11 @@ func TestKDiamondGrowerEveryStepIsLHG(t *testing.T) {
 			}
 			n := gr.N()
 			g := gr.Snapshot()
-			ok, err := check.QuickVerify(context.Background(), g, k, check.Options{})
+			r, err := check.Verify(context.Background(), g, k, check.Options{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !ok {
-				r, _ := check.Verify(context.Background(), g, k, check.Options{Workers: 1})
+			if !r.IsLHG() {
 				t.Fatalf("k=%d n=%d: grower graph is not an LHG: %s", k, n, r)
 			}
 			if g.IsRegular(k) != RegularKDiamond(n, k) {

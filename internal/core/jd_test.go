@@ -78,12 +78,11 @@ func TestJDBuildsItsReachableSet(t *testing.T) {
 			if err := ValidateKTree(jd.Blue); err != nil {
 				t.Fatalf("JD blueprint (%d,%d) violates K-TREE: %v", n, k, err)
 			}
-			ok, err := check.QuickVerify(context.Background(), jd.Real.Graph, k, check.Options{})
+			r, err := check.Verify(context.Background(), jd.Real.Graph, k, check.Options{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !ok {
-				r, _ := check.Verify(context.Background(), jd.Real.Graph, k, check.Options{Workers: 1})
+			if !r.IsLHG() {
 				t.Fatalf("JD(%d,%d) is not an LHG: %s", n, k, r)
 			}
 		}
@@ -213,8 +212,8 @@ func TestPropertyJDGraphsVerify(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		ok, err := check.QuickVerify(context.Background(), jd.Real.Graph, k, check.Options{})
-		return err == nil && ok && jd.Real.Graph.Order() == n
+		r, err := check.Verify(context.Background(), jd.Real.Graph, k, check.Options{Workers: 1})
+		return err == nil && r.IsLHG() && jd.Real.Graph.Order() == n
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

@@ -67,12 +67,11 @@ func TestTheorem5GraphsAreLHGs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ok, err := check.QuickVerify(context.Background(), kd.Real.Graph, k, check.Options{})
+			r, err := check.Verify(context.Background(), kd.Real.Graph, k, check.Options{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !ok {
-				r, _ := check.Verify(context.Background(), kd.Real.Graph, k, check.Options{Workers: 1})
+			if !r.IsLHG() {
 				t.Fatalf("K-DIAMOND(%d,%d) is not an LHG: %s", n, k, r)
 			}
 		}
@@ -263,8 +262,8 @@ func TestPropertyKDiamondAlwaysVerifies(t *testing.T) {
 		if ValidateKDiamond(kd.Blue) != nil {
 			return false
 		}
-		ok, err := check.QuickVerify(context.Background(), kd.Real.Graph, k, check.Options{})
-		return err == nil && ok
+		r, err := check.Verify(context.Background(), kd.Real.Graph, k, check.Options{Workers: 1})
+		return err == nil && r.IsLHG()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

@@ -74,12 +74,11 @@ func TestTheorem2GraphsAreLHGs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ok, err := check.QuickVerify(context.Background(), kt.Real.Graph, k, check.Options{})
+			r, err := check.Verify(context.Background(), kt.Real.Graph, k, check.Options{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !ok {
-				r, _ := check.Verify(context.Background(), kt.Real.Graph, k, check.Options{Workers: 1})
+			if !r.IsLHG() {
 				t.Fatalf("K-TREE(%d,%d) is not an LHG: %s", n, k, r)
 			}
 		}
@@ -217,8 +216,8 @@ func TestPropertyKTreeAlwaysVerifies(t *testing.T) {
 		if ValidateKTree(kt.Blue) != nil {
 			return false
 		}
-		ok, err := check.QuickVerify(context.Background(), kt.Real.Graph, k, check.Options{})
-		return err == nil && ok
+		r, err := check.Verify(context.Background(), kt.Real.Graph, k, check.Options{Workers: 1})
+		return err == nil && r.IsLHG()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

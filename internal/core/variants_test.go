@@ -37,8 +37,8 @@ func TestVariantsSatisfyConstraintAndLHG(t *testing.T) {
 				if err := ValidateKTree(kt.Blue); err != nil {
 					t.Fatalf("ktree variant (%d,%d) violates the constraint: %v", n, k, err)
 				}
-				ok, err := check.QuickVerify(context.Background(), kt.Real.Graph, k, check.Options{})
-				if err != nil || !ok {
+				r, err := check.Verify(context.Background(), kt.Real.Graph, k, check.Options{Workers: 1})
+				if err != nil || !r.IsLHG() {
 					t.Fatalf("ktree variant (%d,%d) is not an LHG (err=%v)", n, k, err)
 				}
 
@@ -52,8 +52,8 @@ func TestVariantsSatisfyConstraintAndLHG(t *testing.T) {
 				if err := ValidateKDiamond(kd.Blue); err != nil {
 					t.Fatalf("kdiamond variant (%d,%d) violates the constraint: %v", n, k, err)
 				}
-				ok, err = check.QuickVerify(context.Background(), kd.Real.Graph, k, check.Options{})
-				if err != nil || !ok {
+				r, err = check.Verify(context.Background(), kd.Real.Graph, k, check.Options{Workers: 1})
+				if err != nil || !r.IsLHG() {
 					t.Fatalf("kdiamond variant (%d,%d) is not an LHG (err=%v)", n, k, err)
 				}
 			}

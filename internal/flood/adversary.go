@@ -224,27 +224,3 @@ func containsEdge(s []graph.Edge, e graph.Edge) bool {
 	}
 	return false
 }
-
-// LinkReliability estimates, over seeded random draws of f failed links,
-// the fraction of floods that reach every node. On a k-link-connected
-// graph the result is exactly 1 for every f <= k-1 (the P2 guarantee).
-func LinkReliability(g *graph.Graph, source, f, trials int, rng *sim.RNG) (float64, error) {
-	if trials <= 0 {
-		return 0, fmt.Errorf("flood: trials must be positive, got %d", trials)
-	}
-	ok := 0
-	for i := 0; i < trials; i++ {
-		fails, err := RandomLinkFailures(g, f, rng)
-		if err != nil {
-			return 0, err
-		}
-		res, err := Run(g, source, fails)
-		if err != nil {
-			return 0, err
-		}
-		if res.Complete {
-			ok++
-		}
-	}
-	return float64(ok) / float64(trials), nil
-}

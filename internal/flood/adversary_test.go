@@ -211,39 +211,3 @@ func TestAdversarialLinkFailuresErrors(t *testing.T) {
 		t.Fatalf("f=0 must be a no-op: %v %v", f, err)
 	}
 }
-
-func TestLinkReliabilityPerfectBelowK(t *testing.T) {
-	g, err := harary.Build(16, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := sim.NewRNG(8)
-	for f := 0; f <= 2; f++ {
-		rel, err := LinkReliability(g, 0, f, 60, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rel != 1.0 {
-			t.Fatalf("link reliability at f=%d is %v, want 1.0", f, rel)
-		}
-	}
-	if _, err := LinkReliability(g, 0, 1, 0, rng); err == nil {
-		t.Fatal("zero trials must error")
-	}
-}
-
-func TestLinkReliabilityDegradesOnTree(t *testing.T) {
-	// On a spanning tree any failed link partitions the flood.
-	g, err := harary.Build(16, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree := g.BFSTree(0)
-	rel, err := LinkReliability(tree, 0, 1, 100, sim.NewRNG(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rel != 0 {
-		t.Fatalf("tree link reliability at f=1 is %v, want 0", rel)
-	}
-}

@@ -75,24 +75,6 @@ func BenchmarkVertexConnectivityNaiveAllPairs(b *testing.B) {
 	}
 }
 
-func BenchmarkThresholdEarlyExit(b *testing.B) {
-	g := benchGraph(b, 128)
-	b.Run("bounded", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if !isKNodeConnected(g, 4) {
-				b.Fatal("graph must be 4-connected")
-			}
-		}
-	})
-	b.Run("exact", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if kappaOf(g) < 4 {
-				b.Fatal("graph must be 4-connected")
-			}
-		}
-	})
-}
-
 // TestNaiveMatchesEsfahanianHakimi keeps the ablation baseline honest.
 func TestNaiveMatchesEsfahanianHakimi(t *testing.T) {
 	for seed := uint64(1); seed <= 25; seed++ {

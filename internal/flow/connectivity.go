@@ -55,12 +55,12 @@ func VertexCut(g *graph.Graph, s, t int) (int, error) {
 	return stVertexFlow(context.Background(), g, s, t, -1, noEdge), nil
 }
 
-// VertexCutAtLeastCtx reports whether every s-t vertex cut has at least c
+// VertexCutAtLeast reports whether every s-t vertex cut has at least c
 // nodes, using one early-exit max flow (the probe stops as soon as c
 // disjoint paths are found). s and t must be valid and non-adjacent. It is
 // the primitive of the incremental re-verification in internal/check: a
 // localized frontier probe that never pays for the exact cut value.
-func VertexCutAtLeastCtx(ctx context.Context, g *graph.Graph, s, t, c int) (bool, error) {
+func VertexCutAtLeast(ctx context.Context, g *graph.Graph, s, t, c int) (bool, error) {
 	if err := validatePair(g, s, t); err != nil {
 		return false, err
 	}
@@ -77,9 +77,9 @@ func VertexCutAtLeastCtx(ctx context.Context, g *graph.Graph, s, t, c int) (bool
 	return ok, nil
 }
 
-// EdgeCutAtLeastCtx reports whether every s-t edge cut has at least c
-// edges, using one early-exit max flow; see VertexCutAtLeastCtx.
-func EdgeCutAtLeastCtx(ctx context.Context, g *graph.Graph, s, t, c int) (bool, error) {
+// EdgeCutAtLeast reports whether every s-t edge cut has at least c
+// edges, using one early-exit max flow; see VertexCutAtLeast.
+func EdgeCutAtLeast(ctx context.Context, g *graph.Graph, s, t, c int) (bool, error) {
 	if err := validatePair(g, s, t); err != nil {
 		return false, err
 	}
@@ -130,14 +130,21 @@ func MinVertexCutSet(g *graph.Graph, s, t int) ([]int, error) {
 // for why they cannot change the result. Disconnected graphs and graphs
 // with fewer than two nodes have λ = 0.
 func EdgeConnectivity(ctx context.Context, g *graph.Graph, workers int, hints SweepHints) (int, error) {
-	if g.Order() < 2 {
+	n := g.Order()
+	if n < 2 {
 		return 0, ctx.Err()
 	}
 	best, _ := g.MinDegree()
 	if hints.Upper >= 0 && hints.Upper < best {
 		best = hints.Upper
 	}
-	return lambdaSweep(ctx, g, workers, hints, best, 1)
+	d0, targets := lambdaProbePlan(g, hints)
+	return sweepMin(ctx, "flow.lambda.worker", len(targets), workers, best, n,
+		func(nw *network) { nw.buildEdge(g, noEdge) },
+		func(nw *network, i, limit int) int {
+			nw.rearm()
+			return nw.maxflow(d0, targets[i], limit)
+		})
 }
 
 // VertexConnectivity returns the global vertex connectivity κ(G) using the
@@ -162,7 +169,15 @@ func VertexConnectivity(ctx context.Context, g *graph.Graph, workers int, hints 
 	if len(hints.Critical) > 0 {
 		pairs = frontLoadCritical(pairs, hints.Critical, n, func(p probePair) (int, int) { return p.s, p.t })
 	}
-	return kappaSweep(ctx, g, pairs, workers, minDeg, 1) // κ(G) <= δ(G)
+	// One split-node arena; each probe re-arms it for its pair. The sweep
+	// starts at δ, since κ(G) <= δ(G).
+	return sweepMin(ctx, "flow.kappa.worker", len(pairs), workers, minDeg, 2*n,
+		func(nw *network) { nw.buildVertexBase(g, n+1, noEdge) },
+		func(nw *network, i, limit int) int {
+			p := pairs[i]
+			nw.armVertexPair(p.s, p.t)
+			return nw.maxflow(2*p.s+1, 2*p.t, limit)
+		})
 }
 
 // probePair is one s-t vertex-cut probe of the Esfahanian–Hakimi sweep.
@@ -194,49 +209,7 @@ func vertexProbePairs(g *graph.Graph, v int) []probePair {
 	return pairs
 }
 
-// IsKNodeConnected reports whether κ(G) >= k without always computing the
-// exact connectivity: the Esfahanian–Hakimi probes run serially with limit
-// k and the first one below k settles the answer. Cancellation is polled
-// between probes and surfaces as ctx.Err().
-func IsKNodeConnected(ctx context.Context, g *graph.Graph, k int) (bool, error) {
-	n := g.Order()
-	if k <= 0 {
-		return true, ctx.Err()
-	}
-	if n < k+1 {
-		return false, ctx.Err() // κ(G) <= n-1
-	}
-	if !g.Connected() {
-		return false, ctx.Err()
-	}
-	minDeg, v := g.MinDegree()
-	if minDeg < k {
-		return false, ctx.Err()
-	}
-	if minDeg == n-1 {
-		return true, ctx.Err()
-	}
-	kappa, err := kappaSweep(ctx, g, vertexProbePairs(g, v), 1, k, k)
-	return err == nil && kappa >= k, err
-}
-
-// IsKEdgeConnected reports whether λ(G) >= k using the dominating-set
-// probes serially with limit k; see IsKNodeConnected.
-func IsKEdgeConnected(ctx context.Context, g *graph.Graph, k int) (bool, error) {
-	if k <= 0 {
-		return true, ctx.Err()
-	}
-	if g.Order() < 2 {
-		return false, ctx.Err()
-	}
-	if minDeg, _ := g.MinDegree(); minDeg < k {
-		return false, ctx.Err()
-	}
-	lambda, err := lambdaSweep(ctx, g, 1, NoHints, k, k)
-	return err == nil && lambda >= k, err
-}
-
-// EdgeIsRemovableCtx reports whether removing e=(u,v) keeps both the node
+// EdgeIsRemovable reports whether removing e=(u,v) keeps both the node
 // connectivity at kappa and the link connectivity at lambda — i.e. whether
 // e witnesses a P3 (link-minimality) violation. It costs two single-pair
 // max flows on the masked view instead of 2n flows on a clone, by the
@@ -249,7 +222,7 @@ func IsKEdgeConnected(ctx context.Context, g *graph.Graph, k int) (bool, error) 
 // to separate u from v would already be a small cut of G: only cuts that
 // e itself bridged can shrink. (u and v are non-adjacent in G−e, so the
 // vertex-cut query is well defined.)
-func EdgeIsRemovableCtx(ctx context.Context, g *graph.Graph, e graph.Edge, kappa, lambda int) (bool, error) {
+func EdgeIsRemovable(g *graph.Graph, e graph.Edge, kappa, lambda int) bool {
 	if e.U > e.V {
 		e.U, e.V = e.V, e.U
 	}
@@ -257,23 +230,11 @@ func EdgeIsRemovableCtx(ctx context.Context, g *graph.Graph, e graph.Edge, kappa
 		// Degree shortcut: both probes are bounded by the endpoint degrees
 		// in G−e, so an endpoint of degree <= lambda (<= kappa) forces the
 		// λ (κ) probe under the bar. Same verdict as the probes, no flow.
-		return false, ctx.Err()
+		return false
 	}
-	if stEdgeFlow(ctx, g, e.U, e.V, lambda, e) < lambda {
-		return false, ctx.Err()
-	}
-	ok := stVertexFlow(ctx, g, e.U, e.V, kappa, e) >= kappa
-	if err := ctx.Err(); err != nil {
-		return false, err
-	}
-	return ok, nil
-}
-
-// EdgeIsRemovable reports whether removing e preserves (kappa, lambda).
-// See EdgeIsRemovableCtx.
-func EdgeIsRemovable(g *graph.Graph, e graph.Edge, kappa, lambda int) bool {
-	ok, _ := EdgeIsRemovableCtx(context.Background(), g, e, kappa, lambda)
-	return ok
+	ctx := context.Background()
+	return stEdgeFlow(ctx, g, e.U, e.V, lambda, e) >= lambda &&
+		stVertexFlow(ctx, g, e.U, e.V, kappa, e) >= kappa
 }
 
 // VertexDisjointPaths returns a maximum set of pairwise internally
@@ -367,7 +328,7 @@ func GlobalMinEdgeCutSet(g *graph.Graph) ([]graph.Edge, error) {
 	// One worker, so the probes run in order on the caller and bestT is
 	// the target of the last probe that lowered the minimum.
 	bestT := -1
-	if _, err := sweepMin(context.TODO(), "flow.lambda.worker", len(targets), 1, minDeg, 1, n,
+	if _, err := sweepMin(context.TODO(), "flow.lambda.worker", len(targets), 1, minDeg, n,
 		func(nw *network) { nw.buildEdge(g, noEdge) },
 		func(nw *network, i, limit int) int {
 			nw.rearm()

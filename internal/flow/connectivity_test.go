@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -195,33 +196,6 @@ func TestEdgeConnectivityKnownGraphs(t *testing.T) {
 				t.Fatalf("EdgeConnectivity = %d, want %d", got, tt.want)
 			}
 		})
-	}
-}
-
-func TestIsKConnectedThresholds(t *testing.T) {
-	g := completeBipartite(3, 5) // κ = λ = 3
-	for k := 0; k <= 3; k++ {
-		if !isKNodeConnected(g, k) {
-			t.Fatalf("IsKNodeConnected(K35, %d) = false", k)
-		}
-		if !isKEdgeConnected(g, k) {
-			t.Fatalf("IsKEdgeConnected(K35, %d) = false", k)
-		}
-	}
-	if isKNodeConnected(g, 4) {
-		t.Fatal("IsKNodeConnected(K35, 4) = true")
-	}
-	if isKEdgeConnected(g, 4) {
-		t.Fatal("IsKEdgeConnected(K35, 4) = true")
-	}
-}
-
-func TestIsKNodeConnectedSmallN(t *testing.T) {
-	if isKNodeConnected(complete(3), 3) {
-		t.Fatal("K3 cannot be 3-node-connected (needs n >= k+1)")
-	}
-	if !isKNodeConnected(complete(4), 3) {
-		t.Fatal("K4 is 3-node-connected")
 	}
 }
 
@@ -443,18 +417,32 @@ func reachableAvoiding(g *graph.Graph, s, t int, removed []bool) bool {
 	return false
 }
 
+// TestPropertyEarlyExitAgreesWithExact pins the early-exit pair
+// thresholds to the exact pair cuts: EdgeCutAtLeast/VertexCutAtLeast(c)
+// must agree with EdgeCut/VertexCut >= c for every pair and every c.
 func TestPropertyEarlyExitAgreesWithExact(t *testing.T) {
+	ctx := context.Background()
 	f := func(seed uint32, nRaw uint8) bool {
 		n := int(nRaw%8) + 3
 		g := randomGraph(n, uint64(seed))
-		kappa := kappaOf(g)
-		lambda := lambdaOf(g)
-		for k := 0; k <= n; k++ {
-			if isKNodeConnected(g, k) != (kappa >= k) {
-				return false
-			}
-			if isKEdgeConnected(g, k) != (lambda >= k) {
-				return false
+		for s := 0; s < n; s++ {
+			for u := s + 1; u < n; u++ {
+				cut := must(EdgeCut(g, s, u))
+				vcut := -1
+				if !g.HasEdge(s, u) {
+					vcut = must(VertexCut(g, s, u))
+				}
+				for c := 0; c <= n; c++ {
+					if ok, err := EdgeCutAtLeast(ctx, g, s, u, c); err != nil || ok != (cut >= c) {
+						return false
+					}
+					if vcut < 0 {
+						continue
+					}
+					if ok, err := VertexCutAtLeast(ctx, g, s, u, c); err != nil || ok != (vcut >= c) {
+						return false
+					}
+				}
 			}
 		}
 		return true

@@ -131,11 +131,11 @@ func TestPropertyCutpointsConsistentWithFlow(t *testing.T) {
 		if !g.Connected() {
 			return true
 		}
-		kappa2 := isKNodeConnected(g, 2)
+		kappa2 := kappaOf(g) >= 2
 		if kappa2 != (len(g.ArticulationPoints()) == 0) {
 			return false
 		}
-		lambda2 := isKEdgeConnected(g, 2)
+		lambda2 := lambdaOf(g) >= 2
 		return lambda2 == (len(g.Bridges()) == 0)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

@@ -9,9 +9,8 @@ import (
 
 // kappaWith, lambdaWith and restrictedOf run the sweeps uncanceled with
 // the given worker budget; kappaOf and lambdaOf are the serial runs the
-// oracle tests compare against, and isKNodeConnected/isKEdgeConnected the
-// uncanceled predicates. Background contexts cannot fail, so an error
-// here is a bug in the driver.
+// oracle tests compare against. Background contexts cannot fail, so an
+// error here is a bug in the driver.
 func kappaWith(g *graph.Graph, workers int) int {
 	return must(VertexConnectivity(context.Background(), g, workers, NoHints))
 }
@@ -26,14 +25,6 @@ func restrictedOf(g *graph.Graph, workers int) int {
 
 func kappaOf(g *graph.Graph) int  { return kappaWith(g, 1) }
 func lambdaOf(g *graph.Graph) int { return lambdaWith(g, 1) }
-
-func isKNodeConnected(g *graph.Graph, k int) bool {
-	return must(IsKNodeConnected(context.Background(), g, k))
-}
-
-func isKEdgeConnected(g *graph.Graph, k int) bool {
-	return must(IsKEdgeConnected(context.Background(), g, k))
-}
 
 func must[T any](v T, err error) T {
 	if err != nil {

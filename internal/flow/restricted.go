@@ -95,7 +95,7 @@ func RestrictedEdgeConnectivity(ctx context.Context, g *graph.Graph, workers int
 		return -1, ctx.Err()
 	}
 	n, m := g.Order(), len(edges)
-	return sweepMin(ctx, "flow.restricted.worker", len(pairs), workers, inf, 1, n+2,
+	return sweepMin(ctx, "flow.restricted.worker", len(pairs), workers, inf, n+2,
 		func(nw *network) { nw.buildRestricted(g) },
 		func(nw *network, i, limit int) int {
 			p := pairs[i]

@@ -45,11 +45,11 @@ func probeProgress(sp trace.Span, i, total int) {
 	sp.Event("probe-progress", trace.Int("done", int64(i+1)), trace.Int("total", int64(total)))
 }
 
-// Probe sweeps. Every global question of this package (κ, λ, λ′, the "≥ k"
-// predicates, the global min cut and the P3 removal batch) is a fixed set
-// of max-flow probes over one topology. The caller builds that topology
-// once as a pooled arena; worker 0 probes on it and every extra worker on
-// a copy, re-arming capacities per probe instead of rebuilding. The frozen
+// Probe sweeps. Every global question of this package (κ, λ, λ′, the
+// global min cut and the P3 removal batch) is a fixed set of max-flow
+// probes over one topology. The caller builds that topology once as a
+// pooled arena; worker 0 probes on it and every extra worker on a copy,
+// re-arming capacities per probe instead of rebuilding. The frozen
 // CSR graph is shared read-only. Probes are scheduled by the work stealer
 // (steal.go), which runs a one-worker sweep inline on the caller in index
 // order.
@@ -109,14 +109,13 @@ func workerNet(ctx context.Context, arena *network, w int) *network {
 // early-exit limit of every probe: a stale (too high) limit in a parallel
 // sweep only costs extra augmentation, never correctness, because any
 // flow value below the limit is exact. The sweep stops as soon as the
-// minimum drops below floor — 1 for the exact values (nothing is below
-// 0), k for the "≥ k" predicates (one refuting probe settles them) — and
-// runs no probe at all when start is already below it. With one worker
-// the probes run inline in index order, so probe order, limits and probe
-// counts are those of a plain loop.
-func sweepMin(ctx context.Context, span string, total, workers, start, floor, size int,
+// minimum reaches 0 (nothing is below it) and runs no probe at all when
+// start is already 0. With one worker the probes run inline in index
+// order, so probe order, limits and probe counts are those of a plain
+// loop.
+func sweepMin(ctx context.Context, span string, total, workers, start, size int,
 	build func(*network), probe func(nw *network, i, limit int) int) (int, error) {
-	if start < floor || total == 0 {
+	if start < 1 || total == 0 {
 		return start, ctx.Err()
 	}
 	if err := ctx.Err(); err != nil {
@@ -133,7 +132,7 @@ func sweepMin(ctx context.Context, span string, total, workers, start, floor, si
 		}
 		for {
 			limit := int(best.Load())
-			if limit < floor {
+			if limit < 1 {
 				return
 			}
 			i, ok := next()
@@ -182,31 +181,6 @@ func lambdaProbePlan(g *graph.Graph, hints SweepHints) (d0 int, targets []int) {
 		targets = frontLoadCritical(targets, hints.Critical, g.Order(), func(t int) (int, int) { return t, t })
 	}
 	return d0, targets
-}
-
-// lambdaSweep runs the dominating-set λ probes of g from start down to
-// floor (see sweepMin).
-func lambdaSweep(ctx context.Context, g *graph.Graph, workers int, hints SweepHints, start, floor int) (int, error) {
-	d0, targets := lambdaProbePlan(g, hints)
-	return sweepMin(ctx, "flow.lambda.worker", len(targets), workers, start, floor, g.Order(),
-		func(nw *network) { nw.buildEdge(g, noEdge) },
-		func(nw *network, i, limit int) int {
-			nw.rearm()
-			return nw.maxflow(d0, targets[i], limit)
-		})
-}
-
-// kappaSweep runs the Esfahanian–Hakimi pair probes of g from start down
-// to floor (see sweepMin) on one split-node arena.
-func kappaSweep(ctx context.Context, g *graph.Graph, pairs []probePair, workers, start, floor int) (int, error) {
-	n := g.Order()
-	return sweepMin(ctx, "flow.kappa.worker", len(pairs), workers, start, floor, 2*n,
-		func(nw *network) { nw.buildVertexBase(g, n+1, noEdge) },
-		func(nw *network, i, limit int) int {
-			p := pairs[i]
-			nw.armVertexPair(p.s, p.t)
-			return nw.maxflow(2*p.s+1, 2*p.t, limit)
-		})
 }
 
 // frontLoadCritical stably reorders probes so those touching a critical
@@ -273,7 +247,7 @@ func canonicalIndices(g *graph.Graph, edges []graph.Edge) ([]int32, error) {
 // g; one that is not is an error.
 //
 // Edges whose endpoint degree already caps a probe below its bar take the
-// degree shortcut of EdgeIsRemovableCtx without a flow. The rest run on
+// degree shortcut of EdgeIsRemovable without a flow. The rest run on
 // one unmasked edge arena and one split-node arena, built once: every
 // probe is rearm + canonical-index mask + early-exit max flow — two
 // capacity copies per edge instead of two topology rebuilds, which is

@@ -18,54 +18,6 @@ func (g *Graph) BFSFrom(src int) []int {
 	return dist
 }
 
-// ShortestPath returns one shortest path from src to dst as a node sequence
-// including both endpoints, or nil if dst is unreachable.
-func (g *Graph) ShortestPath(src, dst int) []int {
-	n := g.Order()
-	if src < 0 || dst < 0 || src >= n || dst >= n {
-		return nil
-	}
-	if src == dst {
-		return []int{src}
-	}
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = -1
-	}
-	parent[src] = src
-	queue := make([]int, 0, n)
-	queue = append(queue, src)
-	for qi := 0; qi < len(queue); qi++ {
-		u := queue[qi]
-		for _, w := range g.row(u) {
-			v := int(w)
-			if parent[v] < 0 {
-				parent[v] = u
-				if v == dst {
-					return buildPath(parent, src, dst)
-				}
-				queue = append(queue, v)
-			}
-		}
-	}
-	return nil
-}
-
-func buildPath(parent []int, src, dst int) []int {
-	var rev []int
-	for v := dst; ; v = parent[v] {
-		rev = append(rev, v)
-		if v == src {
-			break
-		}
-	}
-	path := make([]int, len(rev))
-	for i, v := range rev {
-		path[len(rev)-1-i] = v
-	}
-	return path
-}
-
 // Connected reports whether g is connected. Graphs with fewer than two
 // nodes are connected by convention. It allocates nothing in steady state.
 func (g *Graph) Connected() bool {

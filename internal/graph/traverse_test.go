@@ -32,37 +32,6 @@ func TestBFSFromOutOfRange(t *testing.T) {
 	}
 }
 
-func TestShortestPath(t *testing.T) {
-	g := cycle(6)
-	p := g.ShortestPath(0, 3)
-	if len(p) != 4 {
-		t.Fatalf("path length %d, want 4 nodes (3 hops)", len(p))
-	}
-	if p[0] != 0 || p[len(p)-1] != 3 {
-		t.Fatalf("path %v must start at 0 and end at 3", p)
-	}
-	for i := 0; i+1 < len(p); i++ {
-		if !g.HasEdge(p[i], p[i+1]) {
-			t.Fatalf("path %v uses missing edge (%d,%d)", p, p[i], p[i+1])
-		}
-	}
-}
-
-func TestShortestPathSelf(t *testing.T) {
-	g := cycle(4)
-	p := g.ShortestPath(2, 2)
-	if len(p) != 1 || p[0] != 2 {
-		t.Fatalf("self path = %v, want [2]", p)
-	}
-}
-
-func TestShortestPathUnreachable(t *testing.T) {
-	g := MustFromEdges(4, []Edge{{0, 1}})
-	if p := g.ShortestPath(0, 3); p != nil {
-		t.Fatalf("unreachable path = %v, want nil", p)
-	}
-}
-
 func TestConnected(t *testing.T) {
 	tests := []struct {
 		name string
@@ -177,35 +146,6 @@ func TestAvgPathLength(t *testing.T) {
 	}
 	if got := New(1).AvgPathLength(); got != -1 {
 		t.Fatalf("AvgPathLength(singleton) = %v, want -1", got)
-	}
-}
-
-func TestPropertyShortestPathMatchesBFS(t *testing.T) {
-	f := func(seed uint32, nRaw uint8) bool {
-		n := int(nRaw%15) + 2
-		g := randomGraph(n, uint64(seed))
-		dist := g.BFSFrom(0)
-		for t := 1; t < n; t++ {
-			p := g.ShortestPath(0, t)
-			if dist[t] < 0 {
-				if p != nil {
-					return false
-				}
-				continue
-			}
-			if len(p) != dist[t]+1 {
-				return false
-			}
-			for i := 0; i+1 < len(p); i++ {
-				if !g.HasEdge(p[i], p[i+1]) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Fatal(err)
 	}
 }
 

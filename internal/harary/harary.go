@@ -52,14 +52,3 @@ func Build(n, k int) (*graph.Graph, error) {
 
 // EdgeCount returns the number of edges of H(k,n), ⌈kn/2⌉.
 func EdgeCount(n, k int) int { return (k*n + 1) / 2 }
-
-// DiameterEstimate returns the asymptotic diameter ~⌈n/(2·max(1,⌊k/2⌋))⌉ of
-// H(k,n); exact for even k, within O(1) otherwise. It documents the linear
-// growth LHGs eliminate.
-func DiameterEstimate(n, k int) int {
-	step := k / 2
-	if step < 1 {
-		step = 1
-	}
-	return (n + 2*step - 1) / (2 * step)
-}

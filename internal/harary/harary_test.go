@@ -111,7 +111,9 @@ func TestLinearDiameterGrowth(t *testing.T) {
 	if d80 < 2*d40-2 {
 		t.Fatalf("diameter should roughly double: d(40)=%d d(80)=%d", d40, d80)
 	}
-	if est := DiameterEstimate(80, k); d80 > est+2 || d80 < est-2 {
+	// H(k,n) steps ⌊k/2⌋ positions around the ring per hop, so its
+	// diameter is about ⌈n/(2·⌊k/2⌋)⌉.
+	if est := (80 + 2*(k/2) - 1) / (2 * (k / 2)); d80 > est+2 || d80 < est-2 {
 		t.Fatalf("d(80)=%d far from estimate %d", d80, est)
 	}
 }

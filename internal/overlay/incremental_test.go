@@ -118,11 +118,11 @@ func TestIncrementalStaysLHGUnderLongGrowth(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ok, err := check.QuickVerify(context.Background(), o.Graph(), 3, check.Options{})
+	r, err := check.Verify(context.Background(), o.Graph(), 3, check.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ok {
-		t.Fatal("grown overlay is not an LHG")
+	if !r.IsLHG() {
+		t.Fatalf("grown overlay is not an LHG: %s", r)
 	}
 }

@@ -73,52 +73,6 @@ func (o *Overlay) Join() (Churn, error) { return o.resize(o.g.Order() + 1) }
 // Leave shrinks the membership by one and rebuilds, returning the churn.
 func (o *Overlay) Leave() (Churn, error) { return o.resize(o.g.Order() - 1) }
 
-// LeaveNode removes an arbitrary member: the departing id swaps labels with
-// the last member (the standard dense-id relabeling) and the topology is
-// rebuilt at n-1. The churn accounts for the relabeled node's links too,
-// since a deployment must re-point them at the surviving process.
-func (o *Overlay) LeaveNode(id int) (Churn, error) {
-	n := o.g.Order()
-	if id < 0 || id >= n {
-		return Churn{}, fmt.Errorf("overlay: unknown member %d", id)
-	}
-	ng, err := o.topology(n-1, o.k)
-	if err != nil {
-		return Churn{}, fmt.Errorf("overlay: rebuild at n=%d: %w", n-1, err)
-	}
-	// Physical-link view of the departure: the departing member's own
-	// links are torn down; the last member inherits the freed label (so
-	// its surviving links are re-pointed, not recreated); everything else
-	// diffs against the new topology.
-	last := n - 1
-	relabel := func(v int) int {
-		if v == last {
-			return id
-		}
-		return v
-	}
-	var c Churn
-	for _, e := range o.g.Edges() {
-		if e.U == id || e.V == id {
-			c.Removed++ // departing member's links are always torn down
-			continue
-		}
-		u, v := relabel(e.U), relabel(e.V)
-		if ng.HasEdge(u, v) {
-			c.Kept++
-		} else {
-			c.Removed++
-		}
-	}
-	c.Added = ng.Size() - c.Kept
-	o.g = ng
-	o.gen++
-	return c, nil
-}
-
-// Resize jumps the membership to n members and rebuilds.
-func (o *Overlay) Resize(n int) (Churn, error) { return o.resize(n) }
-
 func (o *Overlay) resize(n int) (Churn, error) {
 	ng, err := o.topology(n, o.k)
 	if err != nil {

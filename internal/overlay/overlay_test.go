@@ -76,7 +76,7 @@ func TestLeaveShrinks(t *testing.T) {
 		t.Fatalf("Size = %d, want 9", o.Size())
 	}
 	// Shrinking below 2k must fail and leave the overlay unchanged.
-	if _, err := o.Resize(5); err == nil {
+	if _, err := o.resize(5); err == nil {
 		t.Fatal("resize below 2k must fail")
 	}
 	if o.Size() != 9 {
@@ -111,7 +111,7 @@ func TestChurnZeroOnNoopResize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := o.Resize(12)
+	c, err := o.resize(12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,83 +165,5 @@ func TestHararyOverlayWorksToo(t *testing.T) {
 	}
 	if !res.Complete {
 		t.Fatalf("harary broadcast incomplete: %s", res)
-	}
-}
-
-func TestLeaveNodeArbitrary(t *testing.T) {
-	o, err := New(3, 12, kdiamondTopology)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := o.Graph()
-	c, err := o.LeaveNode(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o.Size() != 11 {
-		t.Fatalf("Size = %d, want 11", o.Size())
-	}
-	// Accounting identities: every old edge is kept or removed; every new
-	// edge is kept or added.
-	if c.Kept+c.Removed != before.Size() {
-		t.Fatalf("kept %d + removed %d != old m %d", c.Kept, c.Removed, before.Size())
-	}
-	if c.Kept+c.Added != o.Graph().Size() {
-		t.Fatalf("kept %d + added %d != new m %d", c.Kept, c.Added, o.Graph().Size())
-	}
-	// The departing member had degree >= k, so at least k links died.
-	if c.Removed < 3 {
-		t.Fatalf("removed %d links, want >= k", c.Removed)
-	}
-	r, err := check.Verify(context.Background(), o.Graph(), 3, check.Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.IsLHG() {
-		t.Fatalf("overlay not an LHG after departure: %s", r)
-	}
-}
-
-func TestLeaveNodeLastEqualsLeave(t *testing.T) {
-	a, err := New(3, 10, ktreeTopology)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := New(3, 10, ktreeTopology)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ca, err := a.LeaveNode(9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cb, err := b.Leave()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ca != cb {
-		t.Fatalf("LeaveNode(last) churn %+v != Leave churn %+v", ca, cb)
-	}
-}
-
-func TestLeaveNodeErrors(t *testing.T) {
-	o, err := New(3, 8, ktreeTopology)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := o.LeaveNode(99); err == nil {
-		t.Fatal("unknown member must error")
-	}
-	// Shrinking to below 2k must fail and leave the overlay intact.
-	for o.Size() > 6 {
-		if _, err := o.LeaveNode(0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := o.LeaveNode(0); err == nil {
-		t.Fatal("shrinking below 2k must fail")
-	}
-	if o.Size() != 6 {
-		t.Fatalf("failed departure changed size to %d", o.Size())
 	}
 }

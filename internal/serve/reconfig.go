@@ -192,8 +192,7 @@ func (sess *topoSession) init(s *Server, req *ReconfigureRequest) error {
 		defer cancel()
 	}
 	dv, err := lhg.NewDeltaVerifier(ctx, engine.Graph(), req.K,
-		lhg.WithWorkers(clampRequestWorkers(req.Workers, s.workers)),
-		lhg.WithSparsify(s.sparsify))
+		lhg.WithWorkers(clampRequestWorkers(req.Workers, s.workers)))
 	if err != nil {
 		return err
 	}

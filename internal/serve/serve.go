@@ -84,10 +84,6 @@ type Options struct {
 	// Timeout bounds each computation; exceeding it maps to HTTP 504.
 	// Zero means no limit beyond the request's own context.
 	Timeout time.Duration
-	// DisableSparsify turns off the sparse-certificate verify fast path
-	// (lhg.WithSparsify). Reports are bit-identical either way, so cache
-	// keys do not depend on it — it is an operational escape hatch only.
-	DisableSparsify bool
 	// MaxSessions caps the live /v1/reconfigure topology sessions.
 	// 0 means the 1024 default; negative disables the endpoint's sessions.
 	MaxSessions int
@@ -127,7 +123,6 @@ type Server struct {
 	base     context.Context
 	workers  int
 	timeout  time.Duration
-	sparsify bool
 	cache    *lruCache
 	flights  *flightGroup
 	mux      *http.ServeMux
@@ -181,7 +176,6 @@ func New(opts Options) *Server {
 		base:        base,
 		workers:     opts.Workers,
 		timeout:     opts.Timeout,
-		sparsify:    !opts.DisableSparsify,
 		cache:       newLRU(size),
 		flights:     newFlightGroup(base),
 		mux:         http.NewServeMux(),
@@ -677,7 +671,7 @@ func (s *Server) verifyOne(ctx context.Context, req *VerifyRequest) (*VerifyResp
 	key := verifyKey(req.graphKey(c), props)
 	v, cached, err := s.compute(ctx, epVerify, key, persistVerify, func(runCtx context.Context) (any, error) {
 		return lhg.Verify(runCtx, g, req.K, lhg.WithWorkers(workers),
-			lhg.WithProperties(props), lhg.WithSparsify(s.sparsify))
+			lhg.WithProperties(props))
 	})
 	if err != nil {
 		return nil, err

@@ -279,7 +279,7 @@ func (s *Server) verifyFeed(key string, c lhg.Constraint, req *VerifyRequest, pr
 		workers := clampRequestWorkers(req.Workers, s.workers)
 		v, cached, err := s.compute(ctx, epVerify, key, persistVerify, func(runCtx context.Context) (any, error) {
 			return lhg.Verify(runCtx, g, req.K, lhg.WithWorkers(workers),
-				lhg.WithProperties(props), lhg.WithSparsify(s.sparsify))
+				lhg.WithProperties(props))
 		})
 		if err != nil {
 			f.publish("error", ErrorEnvelope{Error: errorBody(nil, err)})

@@ -169,13 +169,11 @@ const (
 // a caller can build one option list and reuse it across Build, Verify
 // and Flood.
 type options struct {
-	workers   int
-	seed      uint64
-	hasSeed   bool
-	failures  Failures
-	props     Properties
-	sparsify  check.Sparsify
-	prescreen check.Prescreen
+	workers  int
+	seed     uint64
+	hasSeed  bool
+	failures Failures
+	props    Properties
 }
 
 // Option configures Build, Verify or Flood. Options are applied in order;
@@ -204,40 +202,6 @@ func WithFailures(f Failures) Option { return func(o *options) { o.failures = f 
 // phases the selection does not need — e.g. WithProperties(PropDiameter)
 // never issues a max-flow probe.
 func WithProperties(p Properties) Option { return func(o *options) { o.props = p } }
-
-// WithSparsify toggles the sparse-certificate fast path of Verify and
-// IsLHG. It is on by default: on graphs dense enough that the certificate
-// pays for itself (m > check.SparsifyCutoff·k·n) the κ/λ max-flow probes
-// run on a Nagamochi–Ibaraki certificate of at most (δ+1)(n−1) edges
-// instead of the full edge set. The report is bit-identical either way —
-// the fast path changes no value and no verdict — so WithSparsify(false)
-// is purely an escape hatch (debugging, benchmarking the full pipeline).
-func WithSparsify(enabled bool) Option {
-	return func(o *options) {
-		if enabled {
-			o.sparsify = check.SparsifyAuto
-		} else {
-			o.sparsify = check.SparsifyOff
-		}
-	}
-}
-
-// WithPrescreen toggles the Monte Carlo cut prescreen of Verify and IsLHG.
-// It is on by default: on large graphs (n >= check.PrescreenCutoff) a few
-// seeded Karger contraction rounds run before the exact κ/λ sweeps and feed
-// them a certified cut upper bound plus a critical-node probe ordering.
-// Both only tighten early-exit limits and reorder probes, so the report is
-// bit-identical either way — WithPrescreen(false) is purely an escape
-// hatch, mirroring WithSparsify.
-func WithPrescreen(enabled bool) Option {
-	return func(o *options) {
-		if enabled {
-			o.prescreen = check.PrescreenAuto
-		} else {
-			o.prescreen = check.PrescreenOff
-		}
-	}
-}
 
 func applyOptions(opts []Option) options {
 	var o options
@@ -414,10 +378,8 @@ func Verify(ctx context.Context, g *Graph, k int, opts ...Option) (*Report, erro
 	defer sp.End()
 	o := applyOptions(opts)
 	return check.Verify(ctx, g, k, check.Options{
-		Workers:   o.workers,
-		Props:     o.props,
-		Sparsify:  o.sparsify,
-		Prescreen: o.prescreen,
+		Workers: o.workers,
+		Props:   o.props,
 	})
 }
 
@@ -446,18 +408,16 @@ func Screen(ctx context.Context, g *Graph, k int, opt ScreenOptions) (*ScreenRep
 type DeltaVerifier = check.DeltaVerifier
 
 // NewDeltaVerifier runs one full verification of g against target k and
-// arms the incremental re-verification state. Of the options, WithWorkers,
-// WithProperties and WithSparsify apply (as in Verify); note that
-// property-selected runs always take the full-campaign path on Advance.
+// arms the incremental re-verification state. Of the options, WithWorkers
+// and WithProperties apply (as in Verify); note that property-selected runs
+// always take the full-campaign path on Advance.
 func NewDeltaVerifier(ctx context.Context, g *Graph, k int, opts ...Option) (*DeltaVerifier, error) {
 	ctx, sp := trace.StartRoot(ctx, "lhg.NewDeltaVerifier")
 	defer sp.End()
 	o := applyOptions(opts)
 	return check.NewDeltaVerifier(ctx, g, k, check.Options{
-		Workers:   o.workers,
-		Props:     o.props,
-		Sparsify:  o.sparsify,
-		Prescreen: o.prescreen,
+		Workers: o.workers,
+		Props:   o.props,
 	})
 }
 
@@ -476,23 +436,27 @@ func VerifyDelta(ctx context.Context, g *Graph, prev *Report, d EdgeDelta, n int
 	defer sp.End()
 	o := applyOptions(opts)
 	return check.VerifyDelta(ctx, g, prev, d, n, check.Options{
-		Workers:   o.workers,
-		Props:     o.props,
-		Sparsify:  o.sparsify,
-		Prescreen: o.prescreen,
+		Workers: o.workers,
+		Props:   o.props,
 	})
 }
 
-// IsLHG is the fast boolean check of the four mandatory properties
-// (early-exit max flows, no exact connectivity values). Cancellation is
-// honored as in Verify and surfaces as ctx.Err(). Of the options only
-// WithSparsify applies — the quick path is serial and always checks every
-// property.
+// IsLHG reports whether g holds the four mandatory LHG properties for
+// target k: the verdict of Verify(ctx, g, k, opts...).IsLHG(), the same
+// exact check behind lhcheck and /v1/verify. P3 is the paper's "removing
+// any single link reduces node or link connectivity", measured against
+// g's own κ and λ. Of the options only WithWorkers applies: IsLHG always
+// checks all four properties. Cancellation is honored as in Verify and
+// surfaces as ctx.Err().
 func IsLHG(ctx context.Context, g *Graph, k int, opts ...Option) (bool, error) {
 	ctx, sp := trace.StartRoot(ctx, "lhg.IsLHG")
 	defer sp.End()
 	o := applyOptions(opts)
-	return check.QuickVerify(ctx, g, k, check.Options{Sparsify: o.sparsify, Prescreen: o.prescreen})
+	r, err := check.Verify(ctx, g, k, check.Options{Workers: o.workers, Props: check.PropAll})
+	if err != nil {
+		return false, err
+	}
+	return r.IsLHG(), nil
 }
 
 // Flood runs a round-synchronous flood from source, by default in the

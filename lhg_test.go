@@ -156,17 +156,84 @@ func TestRegularMatrix(t *testing.T) {
 	}
 }
 
+// TestIsLHGFacade pins IsLHG to the exact verifier: on every row the
+// boolean facade answers what Verify(...).IsLHG() answers. K6 at k=3 and
+// the Petersen graph at k=2 have κ = λ above k, so P3 must be judged
+// against the graph's own κ and λ, not against k.
 func TestIsLHGFacade(t *testing.T) {
-	g, err := lhg.Build(context.Background(), lhg.KTree, 12, 3)
+	ctx := context.Background()
+	ktree, err := lhg.Build(ctx, lhg.KTree, 12, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, err := lhg.IsLHG(context.Background(), g, 3)
+	var k6, petersen, c6, c8chord []lhg.Edge
+	for u := 0; u < 6; u++ {
+		for v := u + 1; v < 6; v++ {
+			k6 = append(k6, lhg.Edge{U: u, V: v})
+		}
+	}
+	for i := 0; i < 5; i++ {
+		petersen = append(petersen,
+			lhg.Edge{U: i, V: (i + 1) % 5},     // outer cycle
+			lhg.Edge{U: i, V: i + 5},           // spokes
+			lhg.Edge{U: 5 + i, V: 5 + (i+2)%5}) // inner pentagram
+	}
+	for i := 0; i < 6; i++ {
+		c6 = append(c6, lhg.Edge{U: i, V: (i + 1) % 6})
+	}
+	for i := 0; i < 8; i++ {
+		c8chord = append(c8chord, lhg.Edge{U: i, V: (i + 1) % 8})
+	}
+	c8chord = append(c8chord, lhg.Edge{U: 0, V: 4})
+	graphOf := func(n int, edges []lhg.Edge) *lhg.Graph {
+		t.Helper()
+		g, err := lhg.FromEdges(n, edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	tests := []struct {
+		name string
+		g    *lhg.Graph
+		k    int
+		want bool
+	}{
+		{"ktree_12_k3", ktree, 3, true},
+		{"K6_k3", graphOf(6, k6), 3, true},
+		{"K6_k5", graphOf(6, k6), 5, true},
+		{"petersen_k2", graphOf(10, petersen), 2, true},
+		{"petersen_k3", graphOf(10, petersen), 3, true},
+		{"C6_k3", graphOf(6, c6), 3, false},
+		{"C8_with_chord_k2", graphOf(8, c8chord), 2, false},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			r, err := lhg.Verify(ctx, tt.g, tt.k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ok, err := lhg.IsLHG(ctx, tt.g, tt.k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ok != r.IsLHG() || ok != tt.want {
+				t.Fatalf("IsLHG = %t, Verify.IsLHG = %t, want %t (%s)", ok, r.IsLHG(), tt.want, r)
+			}
+		})
+	}
+}
+
+// TestIsLHGErrors: IsLHG rejects a target k outside [1, n) as Verify does.
+func TestIsLHGErrors(t *testing.T) {
+	g, err := lhg.Build(context.Background(), lhg.Harary, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ok {
-		t.Fatal("K-TREE(12,3) must be an LHG")
+	for _, k := range []int{0, 4} {
+		if _, err := lhg.IsLHG(context.Background(), g, k); err == nil {
+			t.Fatalf("k=%d must error", k)
+		}
 	}
 }
 

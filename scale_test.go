@@ -63,21 +63,19 @@ func TestScaleConnectivityExact(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scale test")
 	}
-	// Exact k-connectivity via early-exit max flow at a size where the
-	// naive approach would be prohibitive.
+	// Exact connectivity via the max-flow sweeps at a size where the naive
+	// all-pairs approach would be prohibitive. κ = λ = 4 also says the
+	// 4-regular graph is not 5-connected.
 	g, err := lhg.Build(context.Background(), lhg.KDiamond, 1000, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	if ok, err := flow.IsKNodeConnected(ctx, g, 4); err != nil || !ok {
-		t.Fatal("K-DIAMOND(1000,4) must be 4-node-connected")
+	if kappa, err := flow.VertexConnectivity(ctx, g, 0, flow.NoHints); err != nil || kappa != 4 {
+		t.Fatalf("K-DIAMOND(1000,4): κ = %d (err %v), want 4", kappa, err)
 	}
-	if ok, err := flow.IsKEdgeConnected(ctx, g, 4); err != nil || !ok {
-		t.Fatal("K-DIAMOND(1000,4) must be 4-link-connected")
-	}
-	if ok, err := flow.IsKNodeConnected(ctx, g, 5); err != nil || ok {
-		t.Fatal("a 4-regular graph cannot be 5-connected")
+	if lambda, err := flow.EdgeConnectivity(ctx, g, 0, flow.NoHints); err != nil || lambda != 4 {
+		t.Fatalf("K-DIAMOND(1000,4): λ = %d (err %v), want 4", lambda, err)
 	}
 }
 
