@@ -53,8 +53,9 @@ endef
 # n in {256, 1024, 4096}, the certified scale screen of a k-regular K-TREE
 # at the grid point nearest n = 10^6 with its prescreen/confirm phase split,
 # the P4 all-sources distance sweep on K-TREE(4096,3) and K-DIAMOND(4096,4)
-# serial and with two workers, the steady-state 0-alloc probes, and their
-# metrics-enabled twins) into BENCH_verify.json, then the dense-fixture
+# serial and with two workers, the steady-state 0-alloc probes (BFS, the
+# degree-shortcut edge probe and the two-flow edge probe), and the
+# metrics-enabled twins of the first two) into BENCH_verify.json, then the dense-fixture
 # full-vs-sparsified verification pair into BENCH_sparsify.json (the
 # artifact that tracks the sparse-certificate fast-path speedup), then the
 # churn-oscillation delta-vs-full re-verification pair into
@@ -68,7 +69,7 @@ bench: bench-verify bench-sparsify bench-reconfigure bench-flood
 
 bench-verify:
 	$(GO) test -run '^$$' \
-		-bench '^(BenchmarkVerifySweep|BenchmarkVerifyMillionScreen|BenchmarkDistanceStats|BenchmarkFlood|BenchmarkBFSSteadyState|BenchmarkEdgeProbeSteadyState|BenchmarkBFSSteadyStateMetricsOn|BenchmarkEdgeProbeSteadyStateMetricsOn)$$' \
+		-bench '^(BenchmarkVerifySweep|BenchmarkVerifyMillionScreen|BenchmarkDistanceStats|BenchmarkFlood|BenchmarkBFSSteadyState|BenchmarkEdgeProbeSteadyState|BenchmarkEdgeProbeFlow|BenchmarkBFSSteadyStateMetricsOn|BenchmarkEdgeProbeSteadyStateMetricsOn)$$' \
 		-benchmem -benchtime=1x . | tee bench.out
 	@$(bench2json) bench.out > BENCH_verify.json
 	@rm -f bench.out

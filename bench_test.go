@@ -39,11 +39,11 @@ var (
 	sinkFloat  float64
 )
 
-func buildOrFatal(b *testing.B, c lhg.Constraint, n, k int) *lhg.Graph {
-	b.Helper()
+func buildOrFatal(tb testing.TB, c lhg.Constraint, n, k int) *lhg.Graph {
+	tb.Helper()
 	g, err := lhg.Build(context.Background(), c, n, k)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return g
 }
@@ -186,7 +186,7 @@ func BenchmarkDistanceStats(b *testing.B) {
 
 // BenchmarkVerifyMillionScreen is the scale-tier series emitted into
 // BENCH_verify.json by `make bench`: the certified screen (exact linear
-// checks + seeded Karger candidate cuts + sampled exact Dinic probes) over
+// checks + seeded Karger candidate cuts + sampled exact max-flow probes) over
 // a k-regular K-TREE instance at the construction grid point nearest 10^6
 // nodes. The per-phase split is reported as extra metrics: prescreen_ms is
 // the Monte Carlo contraction pass, confirm_ms the exact flow probes. The
@@ -319,14 +319,48 @@ func BenchmarkBFSSteadyState(b *testing.B) {
 	}
 }
 
-// BenchmarkEdgeProbeSteadyState measures one P3 removal probe — two
-// single-pair max flows on the masked CSR view. With the network pool warm
-// it runs without allocating (0 allocs/op); this is the per-edge cost of
-// verifyLinkMinimality.
+// BenchmarkEdgeProbeSteadyState times one P3 removal probe that the
+// degree shortcut answers: the edge has an endpoint of degree k, so
+// flow.EdgeIsRemovable returns false without running a flow. It is the
+// per-edge cost of the near-regular P3 sweeps (0 allocs/op);
+// BenchmarkEdgeProbeFlow times a probe that runs both flows.
 func BenchmarkEdgeProbeSteadyState(b *testing.B) {
 	g := buildOrFatal(b, lhg.KDiamond, 1024, 4)
 	e := g.Edges()[0]
 	sinkBool = flow.EdgeIsRemovable(g, e, 4, 4) // warm the network pool
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkBool = flow.EdgeIsRemovable(g, e, 4, 4)
+	}
+}
+
+// chordedKDiamond returns K-DIAMOND(n,4) plus one chord from node 0 to the
+// first non-neighbor at or after n/2. Both chord endpoints then have
+// degree above κ = λ = 4, so a removal probe of the chord skips the degree
+// shortcut and runs the edge flow and then the vertex flow.
+func chordedKDiamond(tb testing.TB, n int) (*lhg.Graph, lhg.Edge) {
+	tb.Helper()
+	g := buildOrFatal(tb, lhg.KDiamond, n, 4)
+	v := n / 2
+	for g.HasEdge(0, v) {
+		v++
+	}
+	bb := g.Thaw()
+	bb.MustAddEdge(0, v)
+	return bb.Freeze(), lhg.Edge{U: 0, V: v}
+}
+
+// BenchmarkEdgeProbeFlow times one P3 removal probe that runs both
+// flows: flow.EdgeIsRemovable on a chord of K-DIAMOND(1024,4) whose
+// endpoints both have degree above κ and λ. The chord is removable, so
+// the edge flow reaches λ and the vertex flow follows. With the network
+// pool warm it runs without allocating (0 allocs/op).
+func BenchmarkEdgeProbeFlow(b *testing.B) {
+	g, e := chordedKDiamond(b, 1024)
+	if !flow.EdgeIsRemovable(g, e, 4, 4) { // also warms the network pool
+		b.Fatalf("chord %v of K-DIAMOND(1024,4) is not removable", e)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -371,9 +405,10 @@ func BenchmarkEdgeProbeSteadyStateMetricsOn(b *testing.B) {
 	}
 }
 
-// BenchmarkQuickVerify is the boolean lhg.IsLHG verdict (the exact
-// verifier with all four properties) on K-TREE(n,4).
-func BenchmarkQuickVerify(b *testing.B) {
+// BenchmarkIsLHG times the boolean lhg.IsLHG verdict on K-TREE(n,4).
+// IsLHG is the exact verifier with all four properties, so this is a full
+// Verify that returns only Report.IsLHG().
+func BenchmarkIsLHG(b *testing.B) {
 	for _, n := range []int{32, 128, 512} {
 		g := buildOrFatal(b, lhg.KTree, n, 4)
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -389,8 +424,9 @@ func BenchmarkQuickVerify(b *testing.B) {
 }
 
 // TestSteadyStateProbesAllocFree pins the acceptance criterion behind the
-// scratch/network pools: once warm, a full BFS and a P3 edge probe on the
-// frozen view run without allocating.
+// scratch/network pools: once warm, a full BFS, a P3 edge probe that takes
+// the degree shortcut and one that runs both flows all run on the frozen
+// view without allocating.
 func TestSteadyStateProbesAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation defeats sync.Pool reuse; alloc counts are meaningless")
@@ -407,6 +443,13 @@ func TestSteadyStateProbesAllocFree(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(50, func() { sinkBool = flow.EdgeIsRemovable(g, e, 4, 4) }); avg != 0 {
 		t.Fatalf("steady-state edge probe allocates %.1f times per run, want 0", avg)
+	}
+	cg, chord := chordedKDiamond(t, 256)
+	if !flow.EdgeIsRemovable(cg, chord, 4, 4) { // warms the pool for both flows
+		t.Fatalf("chord %v of K-DIAMOND(256,4) is not removable", chord)
+	}
+	if avg := testing.AllocsPerRun(50, func() { sinkBool = flow.EdgeIsRemovable(cg, chord, 4, 4) }); avg != 0 {
+		t.Fatalf("steady-state two-flow edge probe allocates %.1f times per run, want 0", avg)
 	}
 }
 

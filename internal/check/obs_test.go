@@ -42,7 +42,9 @@ func irregularPetersen() *graph.Graph {
 // verification phase must issue on a connected graph:
 //
 //   - kappa: the Esfahanian–Hakimi reduction probes the min-degree node v
-//     against every non-neighbor, plus every non-adjacent pair of v's
+//     against every non-neighbor outside a greedy independent set of
+//     G−N[v] (built in id order: a non-neighbor joins it unless one of its
+//     neighbors already has), plus every non-adjacent pair of v's
 //     neighbors — one flow per pair, serial or parallel.
 //   - lambda: the Matula shared pass probes the pivot (first member of the
 //     deterministic greedy dominating set) against every other member —
@@ -65,8 +67,18 @@ func expectedVerifyProbes(t *testing.T, g *graph.Graph, lambda int) (kappa, lam,
 	for _, w := range nbrs {
 		isNbr[w] = true
 	}
+	indep := make([]bool, n)
 	for u := 0; u < n; u++ {
-		if u != v && !isNbr[u] {
+		if u == v || isNbr[u] {
+			continue
+		}
+		joins := true
+		for _, w := range g.Neighbors(u) {
+			joins = joins && !indep[w]
+		}
+		if joins {
+			indep[u] = true // skipped: no probe
+		} else {
 			kappa++
 		}
 	}

@@ -26,7 +26,7 @@ import (
 //
 // The phases mirror Verify: a linear pass (degrees, connectivity,
 // cutpoints — exact, O(n+m)), the seeded Karger prescreen (certified
-// candidate cuts, O(m log n)), and a confirm pass of exact Dinic probes
+// candidate cuts, O(m log n)), and a confirm pass of exact max-flow probes
 // (the candidate cut's bipartition plus deterministically sampled pairs)
 // on the shared flow arena.
 var (
@@ -225,7 +225,7 @@ func Screen(ctx context.Context, g *graph.Graph, k int, opt ScreenOptions) (*Scr
 		}
 	}
 
-	// Confirm pass: exact Dinic probes on the shared arena. The sampled
+	// Confirm pass: exact max-flow probes on the shared arena. The sampled
 	// pairs walk a deterministic splitmix64 stream, so a screen run is a
 	// pure function of (graph, k, samples). Any probe whose cut lands
 	// below k is an exact refutation (an s-t cut is a cut of g); probes

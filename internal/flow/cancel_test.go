@@ -121,7 +121,7 @@ func TestCancelDoesNotLeakWorkers(t *testing.T) {
 }
 
 // TestPooledNetworksSurviveCancellation: a canceled campaign returns its
-// Dinic networks to the pool mid-flight; later campaigns drawing the same
+// flow networks to the pool mid-flight; later campaigns drawing the same
 // networks must still compute exact values.
 func TestPooledNetworksSurviveCancellation(t *testing.T) {
 	big := complete(120)

@@ -153,9 +153,11 @@ func EdgeConnectivity(ctx context.Context, g *graph.Graph, workers int, hints Sw
 // caller): pick a minimum-degree node v; every minimum vertex cut either
 // avoids v (then it separates v from some non-neighbor) or contains v
 // (then, by minimality, v has neighbors in two different components, and
-// those neighbors form a non-adjacent pair). The complete graph K_n has
-// connectivity n-1 by convention. hints (NoHints for none) only reorder
-// the probes. A canceled sweep returns ctx.Err() and no value.
+// those neighbors form a non-adjacent pair). The first part skips an
+// independent set of its targets, which cannot change the result (see
+// vertexProbePairs). The complete graph K_n has connectivity n-1 by
+// convention. hints (NoHints for none) only reorder the probes. A
+// canceled sweep returns ctx.Err() and no value.
 func VertexConnectivity(ctx context.Context, g *graph.Graph, workers int, hints SweepHints) (int, error) {
 	n := g.Order()
 	if n < 2 || !g.Connected() {
@@ -184,18 +186,49 @@ func VertexConnectivity(ctx context.Context, g *graph.Graph, workers int, hints 
 type probePair struct{ s, t int }
 
 // vertexProbePairs collects the probe pairs of both reduction parts for
-// minimum-degree node v: v against every non-neighbor, then every
+// minimum-degree node v: v against every non-neighbor outside a greedy
+// independent set I of G−N[v] (taken in id order), then every
 // non-adjacent pair of v's neighbors.
+//
+// Skipping I cannot change κ. Let M be the sweep minimum over δ and the
+// probed pairs, and suppose some v-t separator S with t ∈ I had
+// |S| < M ≤ δ ≤ deg(t). Then t has a neighbor w ∉ S. If w ∈ N(v), the
+// path v–w–t avoids S. Otherwise w ∉ I (I is independent), so (v,w) is
+// probed; w lies on t's side of S, so κ(v,w) ≤ |S| < M, yet M is at most
+// every probed value. An early-exit probe that stops at its limit
+// certifies κ(v,w) ≥ limit ≥ M, so the argument holds for the limits the
+// sweep actually uses.
 func vertexProbePairs(g *graph.Graph, v int) []probePair {
-	n := g.Order()
-	isNbr := make([]bool, n)
+	const (
+		open   = iota // a non-neighbor of v not yet classified
+		closed        // a node of N[v]
+		inI           // a member of the skipped independent set
+		probed        // a non-neighbor of v probed against v
+	)
+	class := make([]uint8, g.Order())
+	class[v] = closed
 	nbrs := g.Neighbors(v)
 	for _, w := range nbrs {
-		isNbr[w] = true
+		class[w] = closed
 	}
-	var pairs []probePair
-	for t := 0; t < n; t++ {
-		if t != v && !isNbr[t] {
+	count := len(nbrs) * (len(nbrs) - 1) / 2 // bounds the neighbor pairs
+	for t, c := range class {
+		if c != open {
+			continue
+		}
+		class[t] = inI
+		g.EachNeighbor(t, func(w int) {
+			if class[w] == inI {
+				class[t] = probed
+			}
+		})
+		if class[t] == probed {
+			count++
+		}
+	}
+	pairs := make([]probePair, 0, count)
+	for t, c := range class {
+		if c == probed {
 			pairs = append(pairs, probePair{v, t})
 		}
 	}

@@ -2,6 +2,7 @@ package flow
 
 import (
 	"context"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -449,5 +450,42 @@ func TestPropertyEarlyExitAgreesWithExact(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEpochWrapKeepsSearchesExact drives a network across the int32 wrap
+// of its visit stamps. Every stamp is seeded with 1, the s-side stamp of
+// the first search after the wrap, as a search 2^31 earlier would have
+// left it: it must not read as visited, so every probe keeps its exact
+// value.
+func TestEpochWrapKeepsSearchesExact(t *testing.T) {
+	g := randomGraph(12, 7)
+	want := make(map[[2]int]int)
+	for s := 0; s < 12; s++ {
+		for u := s + 1; u < 12; u++ {
+			want[[2]int{s, u}] = must(EdgeCut(g, s, u))
+		}
+	}
+	nw := getNetwork(g.Order())
+	defer putNetwork(nw)
+	nw.buildEdge(g, noEdge)
+	stale := nw.stamp[:cap(nw.stamp)]
+	for i := range stale {
+		stale[i] = 1
+	}
+	nw.epoch = math.MaxInt32 - 1 // the first search wraps
+	for round := 0; round < 3; round++ {
+		for s := 0; s < 12; s++ {
+			for u := s + 1; u < 12; u++ {
+				nw.rearm()
+				if got := nw.maxflow(s, u, -1); got != want[[2]int{s, u}] {
+					t.Fatalf("round %d, pair (%d,%d), epoch %d: flow %d, want %d",
+						round, s, u, nw.epoch, got, want[[2]int{s, u}])
+				}
+			}
+		}
+	}
+	if nw.epoch > 1<<20 {
+		t.Fatalf("epoch %d never wrapped", nw.epoch)
 	}
 }

@@ -1,8 +1,9 @@
-// Package flow implements unit-capacity maximum flow (Dinic's algorithm)
-// and the connectivity queries built on it: s-t edge/vertex min cuts,
-// global edge connectivity (Matula), global vertex connectivity
-// (Esfahanian–Hakimi), restricted edge connectivity, the P3 edge-removal
-// batch, and Menger-style extraction of vertex-disjoint paths. Each global
+// Package flow implements unit-capacity maximum flow (bidirectional
+// augmenting-path search) and the connectivity queries built on it: s-t
+// edge/vertex min cuts, global edge connectivity (Matula), global vertex
+// connectivity (Esfahanian–Hakimi with an independent-set cut of its
+// probe set), restricted edge connectivity, the P3 edge-removal batch,
+// and Menger-style extraction of vertex-disjoint paths. Each global
 // question is one ctx-first function taking a worker budget; one sweep
 // driver (sweep.go) runs its probe set serially or across workers.
 //
@@ -15,20 +16,21 @@
 // thousands of small max-flow probes — allocates nothing.
 //
 // The residual network itself is a flat arena: arc targets and capacities
-// live in paired flat arrays (arc e and its reverse e^1 adjacent, the
-// standard Dinic layout), the per-node adjacency is a CSR index over arc
-// ids built by one counting pass (finish), and the BFS level array doubles
-// as the visited set (-1 = unreached) so the augmenting DFS tests a single
-// int32 per arc. There are no per-node structs and no per-node slices:
-// BFS and DFS walk cache-dense int32 arrays. Probe sweeps that reuse one
-// topology re-arm capacities from a pristine snapshot (rearm) instead of
-// rebuilding the CSR index per probe, and the level BFS stops expanding at
-// t's distance — on expander-like probe targets the untouched final
-// frontier is most of the graph.
+// live in paired flat arrays (arc e and its reverse e^1 adjacent), the
+// per-node adjacency is a CSR index over arc ids built by one counting
+// pass (finish), and there are no per-node structs and no per-node
+// slices: searches walk cache-dense int32 arrays. Probe sweeps that reuse
+// one topology re-arm capacities from a pristine snapshot (rearm) instead
+// of rebuilding the CSR index per probe. Each augmenting path comes from
+// one search that grows breadth-first balls from s and t, always
+// expanding the smaller frontier, and stops where they meet; the κ and λ
+// sweeps stop every probe at δ paths or fewer, so a probe costs at most
+// δ+1 searches. Visit marks are epoch stamps, so a search clears nothing.
 package flow
 
 import (
 	"context"
+	"math"
 	"sync"
 
 	"lhg/internal/graph"
@@ -76,11 +78,13 @@ type network struct {
 	// augmentation and leaves the network in a consistent, reusable state.
 	done <-chan struct{}
 
-	// scratch buffers reused across maxflow runs
-	level []int32 // BFS levels; -1 = not in the current level graph
-	iter  []int32 // per-node cursor into its CSR arc row
-	queue []int32 // BFS queue
-	path  []int32 // arc stack of the iterative DFS
+	// Search scratch reused across maxflow runs. stamp holds per-node
+	// visit stamps (see nextEpoch), parent the tree arc that reached each
+	// node in the current search; neither is cleared between searches.
+	stamp  []int32
+	parent []int32
+	epoch  int32   // stamp of the latest search's t side
+	queue  []int32 // BFS queues of both sides (see findAndPush)
 }
 
 // watch arms the network's cancellation signal from ctx. A background (or
@@ -152,10 +156,18 @@ func (nw *network) reset(n int) {
 	for i := range nw.arcOff {
 		nw.arcOff[i] = 0
 	}
-	nw.level = grow32(nw.level, n)
-	nw.iter = grow32(nw.iter, n)
-	if nw.queue == nil {
-		nw.queue = make([]int32, 0, n)
+	nw.stamp = grow32(nw.stamp, n)
+	nw.parent = grow32(nw.parent, n)
+	nw.queue = grow32(nw.queue, n)
+}
+
+// reserve gives the arc arrays room for arcs slots before an addArc loop,
+// so a pooled network that grows for a larger graph allocates each array
+// once at its final size instead of doubling through append.
+func (nw *network) reserve(arcs int) {
+	if cap(nw.to) < arcs {
+		nw.to = make([]int32, 0, arcs)
+		nw.cap = make([]int32, 0, arcs)
 	}
 }
 
@@ -185,7 +197,7 @@ func (nw *network) finish() {
 		off[v+1] += off[v]
 	}
 	nw.arcIdx = grow32(nw.arcIdx, m)
-	fill := nw.iter // clobbered: maxflow re-zeroes iter per phase
+	fill := nw.parent // clobbered: searches overwrite parent before reading it
 	for i := range fill {
 		fill[i] = 0
 	}
@@ -231,6 +243,7 @@ var noEdge = graph.Edge{U: -1, V: -1}
 // materializing the smaller graph.
 func (nw *network) buildEdge(g *graph.Graph, skip graph.Edge) {
 	nw.reset(g.Order())
+	nw.reserve(4 * g.Size())
 	g.EachEdge(func(u, v int) {
 		if u == skip.U && v == skip.V {
 			return
@@ -264,6 +277,7 @@ func (nw *network) buildVertex(g *graph.Graph, s, t, edgeCap int, skip graph.Edg
 func (nw *network) buildVertexBase(g *graph.Graph, edgeCap int, skip graph.Edge) {
 	n := g.Order()
 	nw.reset(2 * n)
+	nw.reserve(2*n + 4*g.Size())
 	for v := 0; v < n; v++ {
 		nw.addArc(2*v, 2*v+1, 1)
 	}
@@ -315,91 +329,109 @@ func (nw *network) maskEdgeInVertexNet(i int) {
 	nw.cap[base+3] = 0
 }
 
-// bfs builds the level graph; it reports whether t is reachable in the
-// residual network. The level array doubles as the visited set (-1 =
-// unreached), which removes the per-arc bitset test from the hot loop,
-// and expansion stops once the frontier reaches t's level: no shortest
-// augmenting path leaves a node at distance >= level(t), and on the
-// expander-like instances the sweeps probe, the final BFS frontier holds
-// most of the graph — truncating it is most of a phase's cost.
-func (nw *network) bfs(s, t int) bool {
-	lev := nw.level
-	for i := range lev {
-		lev[i] = -1
+// nextEpoch returns the two visit stamps of a fresh search: odd for nodes
+// reached from s, the following even value for nodes reached from t.
+// Stamps only grow, so whatever an earlier search (or an earlier graph on
+// this pooled network) left in stamp reads as unvisited, and a search
+// clears nothing. Before int32 wraps around, the whole backing array is
+// zeroed once (a later reset may re-expose slots beyond the current
+// length).
+func (nw *network) nextEpoch() (fromS, fromT int32) {
+	if nw.epoch > math.MaxInt32-2 {
+		clear(nw.stamp[:cap(nw.stamp)])
+		nw.epoch = 0
 	}
-	nw.queue = nw.queue[:0]
-	nw.queue = append(nw.queue, int32(s))
-	lev[s] = 0
-	tLevel := int32(-1)
-	for qi := 0; qi < len(nw.queue); qi++ {
-		u := nw.queue[qi]
-		if tLevel >= 0 && lev[u] >= tLevel {
-			break
-		}
-		lv := lev[u] + 1
-		for _, e := range nw.arcs(u) {
-			v := nw.to[e]
-			if nw.cap[e] > 0 && lev[v] < 0 {
-				lev[v] = lv
-				nw.queue = append(nw.queue, v)
-				if v == int32(t) {
-					tLevel = lv
-				}
-			}
-		}
-	}
-	return lev[t] >= 0
+	nw.epoch += 2
+	return nw.epoch - 1, nw.epoch
 }
 
-// augment finds one augmenting path from s to t in the current level
-// graph, pushes its bottleneck and returns the amount (0 when the blocking
-// flow is complete). It is iterative — the DFS stack is the arc path — so
-// probe depth is bounded by memory, not goroutine stack growth, which the
-// n=10^6 arenas rely on. Dead ends are pruned by dropping the node's level
-// to -2, the classic level-graph retreat.
-func (nw *network) augment(s, t int32) int32 {
-	nw.path = nw.path[:0]
-	u := s
-	for {
-		if u == t {
-			pushed := nw.cap[nw.path[0]]
-			for _, e := range nw.path[1:] {
-				if nw.cap[e] < pushed {
-					pushed = nw.cap[e]
+// findAndPush finds one s-t path in the residual network, pushes its
+// bottleneck and returns the amount (0 when t is unreachable). The search
+// grows breadth-first balls from both terminals at once, always expanding
+// one whole level of the smaller frontier, and stops at the first arc that
+// joins the balls. Balls from s follow residual arcs forward, balls from t
+// follow them backward; parent[v] is the tree arc that reached v (into v
+// on the s side, out of v on the t side). Each ball is a tree and the two
+// never share a node, so the joined path is simple. The first search of
+// a κ probe on K-TREE(4096,4) touches ~200 of the 8192 split nodes; the
+// level BFS it replaces scanned up to t's distance from s.
+func (nw *network) findAndPush(s, t int32) int32 {
+	fromS, fromT := nw.nextEpoch()
+	stamp, parent, q := nw.stamp, nw.parent, nw.queue
+	stamp[s], stamp[t] = fromS, fromT
+	// The balls never share a node, so one n-slot queue holds both: the s
+	// side fills q[0:se] upward and expands q[hs:se]; the t side fills
+	// q[te:] downward and expands q[te:ht+1] from the top.
+	q[0], q[len(q)-1] = s, t
+	hs, se := 0, 1
+	ht, te := len(q)-1, len(q)-1
+	for hs < se && ht >= te {
+		if se-hs <= ht-te+1 {
+			for end := se; hs < end; hs++ {
+				u := q[hs]
+				for _, e := range nw.arcs(u) {
+					if nw.cap[e] <= 0 {
+						continue
+					}
+					switch v := nw.to[e]; stamp[v] {
+					case fromS:
+					case fromT:
+						return nw.push(s, t, u, e, v)
+					default:
+						stamp[v], parent[v] = fromS, e
+						q[se] = v
+						se++
+					}
 				}
 			}
-			for _, e := range nw.path {
-				nw.cap[e] -= pushed
-				nw.cap[e^1] += pushed
+		} else {
+			for end := te; ht >= end; ht-- {
+				u := q[ht]
+				for _, e := range nw.arcs(u) {
+					r := e ^ 1 // the arc to[e] -> u
+					if nw.cap[r] <= 0 {
+						continue
+					}
+					switch v := nw.to[e]; stamp[v] {
+					case fromT:
+					case fromS:
+						return nw.push(s, t, v, r, u)
+					default:
+						stamp[v], parent[v] = fromT, r
+						te--
+						q[te] = v
+					}
+				}
 			}
-			return pushed
 		}
-		advanced := false
-		row := nw.arcs(u)
-		for ; int(nw.iter[u]) < len(row); nw.iter[u]++ {
-			e := row[nw.iter[u]]
-			v := nw.to[e]
-			if nw.cap[e] > 0 && nw.level[v] == nw.level[u]+1 {
-				nw.path = append(nw.path, e)
-				u = v
-				advanced = true
-				break
-			}
-		}
-		if advanced {
-			continue
-		}
-		if u == s {
-			return 0
-		}
-		// Retreat: u is a dead end in this phase; remove it from the level
-		// graph and step back past the arc that led here.
-		nw.level[u] = -2
-		e := nw.path[len(nw.path)-1]
-		nw.path = nw.path[:len(nw.path)-1]
-		u = nw.to[e^1]
-		nw.iter[u]++
 	}
+	return 0
+}
+
+// push augments along s ~> a -e-> b ~> t, where a hangs in the s-side
+// tree of the current search and b in the t-side tree, and returns the
+// bottleneck it pushed.
+func (nw *network) push(s, t, a, e, b int32) int32 {
+	f := nw.cap[e]
+	for v := a; v != s; v = nw.to[nw.parent[v]^1] {
+		f = min(f, nw.cap[nw.parent[v]])
+	}
+	for v := b; v != t; v = nw.to[nw.parent[v]] {
+		f = min(f, nw.cap[nw.parent[v]])
+	}
+	nw.cap[e] -= f
+	nw.cap[e^1] += f
+	for v := a; v != s; v = nw.to[nw.parent[v]^1] {
+		p := nw.parent[v]
+		nw.cap[p] -= f
+		nw.cap[p^1] += f
+	}
+	for v := b; v != t; v = nw.to[nw.parent[v]] {
+		p := nw.parent[v]
+		nw.cap[p] -= f
+		nw.cap[p^1] += f
+	}
+	return f
 }
 
 const inf = int(^uint(0) >> 1)
@@ -420,32 +452,23 @@ func (nw *network) maxflow(s, t, limit int) int {
 // hot loop stays free of atomics; the caller publishes it once.
 //
 // When the network is armed with a context (watch), cancellation is polled
-// between augmenting-path iterations and before each level-graph rebuild —
-// never inside a path search — so a canceled probe returns promptly with a
-// partial (lower-bound) flow value. Callers that armed a context must check
-// it after the probe and discard the value; the network itself stays
-// consistent and reusable.
+// before each augmenting-path search — never inside one — so a canceled
+// probe returns promptly with a partial (lower-bound) flow value. Callers
+// that armed a context must check it after the probe and discard the
+// value; the network itself stays consistent and reusable.
 func (nw *network) maxflowCounted(s, t, limit int) (flow int, paths int64) {
 	if s == t {
 		return inf, 0
 	}
-	for !nw.canceled() && nw.bfs(s, t) {
-		for i := range nw.iter {
-			nw.iter[i] = 0
+	for !nw.canceled() {
+		f := nw.findAndPush(int32(s), int32(t))
+		if f == 0 {
+			break
 		}
-		for {
-			f := nw.augment(int32(s), int32(t))
-			if f == 0 {
-				break
-			}
-			paths++
-			flow += int(f)
-			if limit >= 0 && flow >= limit {
-				return flow, paths
-			}
-			if nw.canceled() {
-				return flow, paths
-			}
+		paths++
+		flow += int(f)
+		if limit >= 0 && flow >= limit {
+			break
 		}
 	}
 	return flow, paths

@@ -135,3 +135,28 @@ func TestEdgesRemovableRejectsNonEdge(t *testing.T) {
 		}
 	}
 }
+
+// TestCanonicalIndicesMatchEdges pins the CSR rank behind the masked P3
+// arenas: the i-th edge of g.Edges(), given in either orientation, maps
+// to canonical index i.
+func TestCanonicalIndicesMatchEdges(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		g := gnp(4+int(seed%14), 1+seed%14, seed)
+		edges := g.Edges()
+		flipped := make([]graph.Edge, len(edges))
+		for i, e := range edges {
+			flipped[i] = graph.Edge{U: e.V, V: e.U}
+		}
+		for _, batch := range [][]graph.Edge{edges, flipped} {
+			idx, err := canonicalIndices(g, batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, p := range idx {
+				if int(p) != i {
+					t.Fatalf("seed %d: edge %v has canonical index %d, want %d", seed, batch[i], p, i)
+				}
+			}
+		}
+	}
+}

@@ -55,6 +55,7 @@ func restrictedPairs(edges []graph.Edge) []edgePairProbe {
 func (nw *network) buildRestricted(g *graph.Graph) {
 	n := g.Order()
 	nw.reset(n + 2)
+	nw.reserve(4*g.Size() + 4*n)
 	g.EachEdge(func(u, v int) {
 		nw.addArc(u, v, 1)
 		nw.addArc(v, u, 1)

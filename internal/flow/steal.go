@@ -13,7 +13,7 @@ import (
 //
 // The fan-out drivers distribute a fixed index set [0, total) of probes
 // whose costs can be wildly skewed: one near-critical pair can cost a full
-// Dinic run while its neighbors early-exit after one BFS. A single shared
+// max flow while its neighbors early-exit after one search. A single shared
 // counter balances load but destroys locality (adjacent probe targets share
 // BFS frontiers and cache lines in the CSR graph); a static split keeps
 // locality but strands workers behind one expensive probe. The stealer

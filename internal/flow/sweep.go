@@ -217,24 +217,25 @@ func frontLoadCritical[P any](probes []P, critical []int, n int, ends func(P) (i
 
 // canonicalIndices maps each edge to its index in the canonical g.Edges()
 // enumeration, the key the masked-arena P3 probes use to zero an edge's
-// arc window without rebuilding. An edge that is not in g is an error.
+// arc window without rebuilding. The enumeration walks each node's upper
+// neighbors in row order, so edge (u,v), u < v, sits at first[u] (the
+// upper neighbors of every node below u) plus v's rank among u's upper
+// neighbors. An edge that is not in g is an error.
 func canonicalIndices(g *graph.Graph, edges []graph.Edge) ([]int32, error) {
-	pos := make(map[graph.Edge]int32, g.Size())
-	next := int32(0)
-	g.EachEdge(func(u, v int) {
-		pos[graph.Edge{U: u, V: v}] = next
-		next++
-	})
+	n := g.Order()
+	first := make([]int32, n+1)
+	for u := 0; u < n; u++ {
+		first[u+1] = first[u] + int32(g.Degree(u)-g.NeighborRank(u, u))
+	}
 	idx := make([]int32, len(edges))
 	for j, e := range edges {
 		if e.U > e.V {
 			e.U, e.V = e.V, e.U
 		}
-		p, ok := pos[e]
-		if !ok {
+		if !g.HasEdge(e.U, e.V) {
 			return nil, fmt.Errorf("flow: edge (%d,%d) is not in the graph", edges[j].U, edges[j].V)
 		}
-		idx[j] = p
+		idx[j] = first[e.U] + int32(g.NeighborRank(e.U, e.V)-g.NeighborRank(e.U, e.U))
 	}
 	return idx, nil
 }

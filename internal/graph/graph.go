@@ -213,6 +213,17 @@ func (g *Graph) Neighbors(v int) []int {
 	return out
 }
 
+// NeighborRank returns how many neighbors of v are smaller than w: w's
+// position in v's sorted neighbor row when w is a neighbor. It is 0 if v
+// is out of range.
+func (g *Graph) NeighborRank(v, w int) int {
+	if v < 0 || v >= g.Order() {
+		return 0
+	}
+	row := g.row(v)
+	return sort.Search(len(row), func(i int) bool { return int(row[i]) >= w })
+}
+
 // EachNeighbor calls fn for every neighbor of v in ascending order. It
 // avoids the copy made by Neighbors for hot paths.
 func (g *Graph) EachNeighbor(v int, fn func(w int)) {

@@ -197,6 +197,23 @@ func TestEachNeighborOrder(t *testing.T) {
 	}
 }
 
+func TestNeighborRank(t *testing.T) {
+	b := NewBuilder(5)
+	b.MustAddEdge(2, 4)
+	b.MustAddEdge(2, 0)
+	b.MustAddEdge(2, 1)
+	g := b.Freeze()
+	// Row of 2 is [0 1 4].
+	for w, want := range []int{0, 1, 2, 2, 2, 3} {
+		if got := g.NeighborRank(2, w); got != want {
+			t.Errorf("NeighborRank(2, %d) = %d, want %d", w, got, want)
+		}
+	}
+	if got := g.NeighborRank(7, 0); got != 0 {
+		t.Errorf("NeighborRank of an out-of-range node = %d, want 0", got)
+	}
+}
+
 func TestEdgesCanonical(t *testing.T) {
 	b := NewBuilder(4)
 	b.MustAddEdge(3, 1)
