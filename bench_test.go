@@ -615,7 +615,7 @@ func BenchmarkConnectivity(b *testing.B) {
 	g := buildOrFatal(b, lhg.KDiamond, 128, 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sinkInt, _ = flow.VertexConnectivity(context.Background(), g, 1, flow.NoHints)
+		sinkInt, _ = flow.VertexConnectivity(context.Background(), g, 1)
 	}
 }
 

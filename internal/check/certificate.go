@@ -59,7 +59,7 @@ func CertifySparse(g *graph.Graph) (*Certificate, error) {
 // spanning subgraph of it — and the cut from g.
 func certify(g, view *graph.Graph) (*Certificate, error) {
 	n := g.Order()
-	kappa, err := flow.VertexConnectivity(context.TODO(), view, 1, flow.NoHints)
+	kappa, err := flow.VertexConnectivity(context.TODO(), view, 1)
 	if err != nil {
 		return nil, err
 	}

@@ -274,24 +274,9 @@ func Verify(ctx context.Context, g *graph.Graph, k int, opt Options) (*Report, e
 		}
 	}
 
-	// The Monte Carlo prescreen runs on g itself (its cuts are cuts of g,
-	// and λ(probeView) = λ(g) by the certificate choice, so the certified
-	// upper bound transfers). Hints only reorder probes and tighten
-	// early-exit limits; see flow.SweepHints.
-	hints := flow.NoHints
-	if props&(PropNodeConnectivity|PropLinkConnectivity) != 0 &&
-		prescreenEligible(g, opt.Prescreen) {
-		if err := ph.run("prescreen", tPhasePrescreen, func(pctx context.Context) error {
-			hints = prescreenHints(g)
-			return pctx.Err()
-		}); err != nil {
-			return nil, err
-		}
-	}
-
 	if props.Has(PropNodeConnectivity) {
 		if err := ph.run("kappa", tPhaseKappa, func(pctx context.Context) (err error) {
-			r.NodeConnectivity, err = flow.VertexConnectivity(pctx, probeView, workers, hints)
+			r.NodeConnectivity, err = flow.VertexConnectivity(pctx, probeView, workers)
 			return err
 		}); err != nil {
 			return nil, err
@@ -300,7 +285,7 @@ func Verify(ctx context.Context, g *graph.Graph, k int, opt Options) (*Report, e
 	}
 	if props.Has(PropLinkConnectivity) {
 		if err := ph.run("lambda", tPhaseLambda, func(pctx context.Context) (err error) {
-			r.EdgeConnectivity, err = flow.EdgeConnectivity(pctx, probeView, workers, hints)
+			r.EdgeConnectivity, err = flow.EdgeConnectivity(pctx, probeView, workers)
 			return err
 		}); err != nil {
 			return nil, err

@@ -90,7 +90,7 @@ func expectedVerifyProbes(t *testing.T, g *graph.Graph, lambda int) (kappa, lam,
 		}
 	}
 	lam = int64(len(g.DominatingSet()) - 1)
-	kappaVal, _ := flow.VertexConnectivity(context.Background(), g, 1, flow.NoHints)
+	kappaVal, _ := flow.VertexConnectivity(context.Background(), g, 1)
 	for _, e := range g.Edges() {
 		if d := min2(g.Degree(e.U), g.Degree(e.V)); d <= lambda || d <= kappaVal {
 			continue // degree shortcut: the sweep refutes without a flow

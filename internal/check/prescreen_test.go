@@ -1,10 +1,10 @@
 package check
 
 import (
-	"reflect"
-	"sort"
+	"context"
 	"testing"
 
+	"lhg/internal/core"
 	"lhg/internal/graph"
 )
 
@@ -26,49 +26,94 @@ func barbell(t *testing.T) *graph.Graph {
 	return b.Freeze()
 }
 
-// TestPrescreenRoutingRate pins the routing rate of the fixed-seed Karger
-// prescreen — how many nodes get flagged for confirmation-first probing —
-// on both canonical shapes. On the barbell the contraction rounds must find
-// the true 2-cut and flag exactly one clique (6 of 12 nodes); on a regular
-// Harary graph λ = δ, no round can beat the star bound, and nothing is
-// flagged, so the hints degenerate to the historical sweep. The prescreen
-// is a pure function of the graph, so these values are exact, not
+// TestPrescreenRoutingRate pins the fixed-seed contraction cut that routes
+// Screen's λ verdict to an exact refutation, on both canonical shapes. On
+// the barbell the rounds must find the true 2-cut; on a regular Harary
+// graph λ = δ, no round can beat the star bound, and the cut is δ. The
+// rounds are a pure function of the graph, so these values are exact, not
 // statistical — a drift means the seed, the round budget, or the
 // contraction order changed.
 func TestPrescreenRoutingRate(t *testing.T) {
 	g := barbell(t)
 	withSink(t)
 
-	hints := prescreenHints(g)
-	if hints.Upper != 2 {
-		t.Fatalf("barbell: certified upper bound %d, want the true cut 2", hints.Upper)
-	}
-	if len(hints.Critical) != 6 {
-		t.Fatalf("barbell: %d critical nodes, want 6 (one clique)", len(hints.Critical))
-	}
-	got := append([]int(nil), hints.Critical...)
-	sort.Ints(got)
-	half := [][]int{{0, 1, 2, 3, 4, 5}, {6, 7, 8, 9, 10, 11}}
-	if !reflect.DeepEqual(got, half[0]) && !reflect.DeepEqual(got, half[1]) {
-		t.Fatalf("barbell: critical set %v is not one side of the 2-cut", got)
+	cut := contractionCut(g)
+	if cut != 2 {
+		t.Fatalf("barbell: contraction cut %d, want the true cut 2", cut)
 	}
 	if v := mPrescreenImproved.Value(); v != 1 {
 		t.Fatalf("check.prescreen.improved = %d, want 1", v)
 	}
-	if v := mPrescreenCritical.Value(); v != 6 {
-		t.Fatalf("check.prescreen.critical_nodes = %d, want 6", v)
-	}
-	if again := prescreenHints(g); again.Upper != hints.Upper ||
-		!reflect.DeepEqual(again.Critical, hints.Critical) {
-		t.Fatal("prescreen hints are not deterministic across runs on the same graph")
+	if again := contractionCut(g); again != cut {
+		t.Fatalf("barbell: contraction cut %d on the second run, %d on the first", again, cut)
 	}
 
-	h := mustHarary(t, 64, 4)
-	reg := prescreenHints(h)
-	if reg.Upper != 4 {
-		t.Fatalf("harary H(4,64): certified upper bound %d, want δ = 4", reg.Upper)
+	if reg := contractionCut(mustHarary(t, 64, 4)); reg != 4 {
+		t.Fatalf("harary H(4,64): contraction cut %d, want δ = 4", reg)
 	}
-	if len(reg.Critical) != 0 {
-		t.Fatalf("harary H(4,64): %d critical nodes, want 0 (λ = δ, nothing to route)", len(reg.Critical))
+}
+
+// plantedJoin is two copies of K-TREE(m,4) joined by three disjoint edges.
+// By Menger, κ = λ = 3 however the code computes them: the three edges are
+// an edge cut and their left endpoints a vertex cut, while removing any
+// two nodes leaves both 4-connected halves connected and spares at least
+// one join edge with both its endpoints. δ = 4, so this is the λ < δ shape
+// a star cut cannot see.
+func plantedJoin(t *testing.T, m int) *graph.Graph {
+	t.Helper()
+	kt, err := core.BuildKTree(m, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := graph.NewBuilder(2 * m)
+	for _, off := range []int{0, m} {
+		for _, e := range kt.Real.Graph.Edges() {
+			b.MustAddEdge(off+e.U, off+e.V)
+		}
+	}
+	for _, j := range [][2]int{{0, m / 2}, {m / 3, 1}, {2 * m / 3, m - 1}} {
+		b.MustAddEdge(j[0], m+j[1])
+	}
+	return b.Freeze()
+}
+
+// TestVerifyPlantedJoin checks that exact verification finds the planted
+// 3-cut that no star cut reveals, serially and with two workers.
+func TestVerifyPlantedJoin(t *testing.T) {
+	ctx := context.Background()
+	for _, m := range []int{64, 512} {
+		g := plantedJoin(t, m)
+		serial, err := Verify(ctx, g, 4, Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if serial.NodeConnectivity != 3 || serial.EdgeConnectivity != 3 ||
+			serial.KNodeConnected || serial.KLinkConnected {
+			t.Fatalf("m=%d: κ=%d λ=%d P1=%t P2=%t, want κ=λ=3 and P1, P2 false", m,
+				serial.NodeConnectivity, serial.EdgeConnectivity, serial.KNodeConnected, serial.KLinkConnected)
+		}
+		par, err := Verify(ctx, g, 4, Options{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := reportCore(par), reportCore(serial); got != want {
+			t.Fatalf("m=%d: two-worker report %+v differs from serial %+v", m, got, want)
+		}
+	}
+}
+
+// TestScreenPlantedJoin checks that the screen stays honest on a planted
+// 3-cut its contraction rounds may miss: it never confirms P1 or P2, and a
+// P2 refutation rests on a cut no larger than the planted one.
+func TestScreenPlantedJoin(t *testing.T) {
+	r, err := Screen(context.Background(), plantedJoin(t, 2048), 4, ScreenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.NodeConn == ScreenConfirmed || r.LinkConn == ScreenConfirmed {
+		t.Fatalf("planted 3-cut: %s", r)
+	}
+	if r.LinkConn == ScreenRefuted && r.CutUpper > 3 {
+		t.Fatalf("planted 3-cut: λ refuted with certified cut %d > 3", r.CutUpper)
 	}
 }

@@ -117,43 +117,10 @@ func (s Sparsify) String() string {
 	return "sparsify(?)"
 }
 
-// Prescreen selects the Monte Carlo cut-prescreen policy for the κ/λ probe
-// phases (see prescreenHints): seeded Karger contraction rounds that find
-// real (certified) small cuts before the exact sweeps run. The prescreen
-// only tightens early-exit limits and reorders probes — the values and
-// verdicts it feeds into stay exact — so, like Sparsify, it never changes
-// any reported field.
-type Prescreen uint8
-
-const (
-	// PrescreenAuto runs the contraction rounds when the graph is large
-	// enough for them to pay for themselves (n >= PrescreenCutoff). This is
-	// the default.
-	PrescreenAuto Prescreen = iota
-	// PrescreenOff skips the prescreen — the reference side of the
-	// differential tests.
-	PrescreenOff
-	// PrescreenAlways runs the contraction rounds regardless of size. Meant
-	// for tests that must exercise the prescreened path on small inputs.
-	PrescreenAlways
-)
-
-func (p Prescreen) String() string {
-	switch p {
-	case PrescreenAuto:
-		return "auto"
-	case PrescreenOff:
-		return "off"
-	case PrescreenAlways:
-		return "always"
-	}
-	return "prescreen(?)"
-}
-
 // Options configures a verification run. The zero value — all properties,
-// GOMAXPROCS workers, automatic sparsification and prescreening — is the
-// right default for interactive and service use; set Workers to 1 for the
-// deterministic-serial path (the report is bit-identical either way).
+// GOMAXPROCS workers, automatic sparsification — is the right default for
+// interactive and service use; set Workers to 1 for the deterministic-serial
+// path (the report is bit-identical either way).
 type Options struct {
 	// Workers is the goroutine budget for the probe fan-out; <= 0 means
 	// GOMAXPROCS, 1 runs serially.
@@ -164,8 +131,4 @@ type Options struct {
 	// The zero value (SparsifyAuto) enables the fast path on dense graphs;
 	// it never changes any reported value or verdict.
 	Sparsify Sparsify
-	// Prescreen selects the Monte Carlo cut-prescreen policy for the κ/λ
-	// probes. The zero value (PrescreenAuto) enables it on large graphs; it
-	// never changes any reported value or verdict.
-	Prescreen Prescreen
 }

@@ -96,7 +96,7 @@ func oracleSuperLambda(g *graph.Graph) bool {
 // TestVerifyRestrictedSuperAgainstOracle runs the opt-in PropSuperEdge
 // report (which pulls in PropRestrictedEdge and PropLinkConnectivity) over
 // seeded random graphs and asserts both extended fields against the
-// bipartition oracles, serial and parallel, with and without the prescreen.
+// bipartition oracles, serially and with two and four workers.
 func TestVerifyRestrictedSuperAgainstOracle(t *testing.T) {
 	ctx := context.Background()
 	for seed := int64(0); seed < 40; seed++ {
@@ -109,7 +109,7 @@ func TestVerifyRestrictedSuperAgainstOracle(t *testing.T) {
 		for _, opt := range []Options{
 			{Workers: 1, Props: PropSuperEdge},
 			{Workers: 4, Props: PropSuperEdge},
-			{Workers: 1, Props: PropSuperEdge, Prescreen: PrescreenAlways},
+			{Workers: 2, Props: PropSuperEdge},
 		} {
 			r, err := Verify(ctx, g, 1, opt)
 			if err != nil {

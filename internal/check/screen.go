@@ -24,11 +24,10 @@ import (
 //     round, and every sampled exact probe passed, but the property was
 //     not exhaustively verified. "No counterexample found", not "proven".
 //
-// The phases mirror Verify: a linear pass (degrees, connectivity,
-// cutpoints — exact, O(n+m)), the seeded Karger prescreen (certified
-// candidate cuts, O(m log n)), and a confirm pass of exact max-flow probes
-// (the candidate cut's bipartition plus deterministically sampled pairs)
-// on the shared flow arena.
+// The phases: a linear pass (degrees, connectivity, cutpoints — exact,
+// O(n+m)), the seeded Karger prescreen (certified candidate cuts,
+// O(m log n)), and a confirm pass of exact max-flow probes between
+// deterministically sampled pairs.
 var (
 	mScreenRuns         = obs.NewCounter("check.screen.runs")
 	mScreenRefuted      = obs.NewCounter("check.screen.refuted")
@@ -208,17 +207,12 @@ func Screen(ctx context.Context, g *graph.Graph, k int, opt ScreenOptions) (*Scr
 	// Monte Carlo prescreen: certified candidate cuts. A contraction cut
 	// below k is a real cut of g — an exact P2 refutation, no confirm
 	// probe needed.
-	var hints flow.SweepHints
-	needCuts := r.Connected && r.LinkConn == ScreenScreened
-	if needCuts {
+	if r.Connected && r.LinkConn == ScreenScreened {
 		if err := ph.run("prescreen", tPhaseScreenKarger, func(pctx context.Context) error {
-			hints = prescreenHints(g)
+			r.CutUpper = min(r.CutUpper, contractionCut(g))
 			return pctx.Err()
 		}); err != nil {
 			return nil, err
-		}
-		if hints.Upper < r.CutUpper {
-			r.CutUpper = hints.Upper
 		}
 		if r.CutUpper < k {
 			r.LinkConn = ScreenRefuted

@@ -33,7 +33,7 @@ func TestHypercubeConnectivity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, _ := flow.VertexConnectivity(context.Background(), g, 1, flow.NoHints); got != d {
+		if got, _ := flow.VertexConnectivity(context.Background(), g, 1); got != d {
 			t.Fatalf("κ(Q%d) = %d, want %d", d, got, d)
 		}
 	}
@@ -104,7 +104,7 @@ func TestCCCConnectivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := flow.VertexConnectivity(context.Background(), g, 1, flow.NoHints); got != 3 {
+	if got, _ := flow.VertexConnectivity(context.Background(), g, 1); got != 3 {
 		t.Fatalf("κ(CCC(3)) = %d, want 3", got)
 	}
 }
@@ -139,7 +139,7 @@ func TestDeBruijnStructure(t *testing.T) {
 	if minDeg != 2 {
 		t.Fatalf("UB(2,4) min degree %d, want 2b-2 = 2", minDeg)
 	}
-	if got, _ := flow.VertexConnectivity(context.Background(), g, 1, flow.NoHints); got != 2 {
+	if got, _ := flow.VertexConnectivity(context.Background(), g, 1); got != 2 {
 		t.Fatalf("κ(UB(2,4)) = %d, want 2", got)
 	}
 	// Logarithmic diameter: at most d.
@@ -153,7 +153,7 @@ func TestDeBruijnBaseThree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := flow.VertexConnectivity(context.Background(), g, 1, flow.NoHints); got != 4 {
+	if got, _ := flow.VertexConnectivity(context.Background(), g, 1); got != 4 {
 		t.Fatalf("κ(UB(3,3)) = %d, want 2b-2 = 4", got)
 	}
 }

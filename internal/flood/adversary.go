@@ -66,7 +66,7 @@ func AdversarialNodeFailures(g *graph.Graph, source, f int) (Failures, error) {
 	if f == 0 {
 		return Failures{}, nil
 	}
-	kappa, err := flow.VertexConnectivity(context.TODO(), g, 1, flow.NoHints)
+	kappa, err := flow.VertexConnectivity(context.TODO(), g, 1)
 	if err != nil {
 		return Failures{}, err
 	}
@@ -176,7 +176,7 @@ func AdversarialLinkFailures(g *graph.Graph, source, f int) (Failures, error) {
 	if f == 0 {
 		return Failures{}, nil
 	}
-	lambda, err := flow.EdgeConnectivity(context.TODO(), g, 1, flow.NoHints)
+	lambda, err := flow.EdgeConnectivity(context.TODO(), g, 1)
 	if err != nil {
 		return Failures{}, err
 	}

@@ -35,7 +35,7 @@ func TestVertexConnectivityCtxCancelsPromptly(t *testing.T) {
 	g := completeBipartite(130, 130) // serial campaign runs for several seconds
 	for _, workers := range []int{1, 4} {
 		err, overstay := cancelLatency(t, 30*time.Millisecond, func(ctx context.Context) error {
-			_, err := VertexConnectivity(ctx, g, workers, NoHints)
+			_, err := VertexConnectivity(ctx, g, workers)
 			return err
 		})
 		if err == nil {
@@ -57,7 +57,7 @@ func TestEdgeConnectivityCtxCancelsPromptly(t *testing.T) {
 	g := completeBipartite(250, 250)
 	for _, workers := range []int{1, 4} {
 		err, overstay := cancelLatency(t, 30*time.Millisecond, func(ctx context.Context) error {
-			_, err := EdgeConnectivity(ctx, g, workers, NoHints)
+			_, err := EdgeConnectivity(ctx, g, workers)
 			return err
 		})
 		if err == nil {
@@ -78,10 +78,10 @@ func TestCtxAPIPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	g := complete(40)
-	if _, err := VertexConnectivity(ctx, g, 1, NoHints); !errors.Is(err, context.Canceled) {
+	if _, err := VertexConnectivity(ctx, g, 1); !errors.Is(err, context.Canceled) {
 		t.Fatalf("VertexConnectivity: err = %v, want context.Canceled", err)
 	}
-	if _, err := EdgeConnectivity(ctx, g, 4, NoHints); !errors.Is(err, context.Canceled) {
+	if _, err := EdgeConnectivity(ctx, g, 4); !errors.Is(err, context.Canceled) {
 		t.Fatalf("EdgeConnectivity: err = %v, want context.Canceled", err)
 	}
 	if _, err := EdgesRemovable(ctx, g, g.Edges(), 39, 39, 2); !errors.Is(err, context.Canceled) {
@@ -100,7 +100,7 @@ func TestCancelDoesNotLeakWorkers(t *testing.T) {
 			time.Sleep(10 * time.Millisecond)
 			cancel()
 		}()
-		if _, err := VertexConnectivity(ctx, g, 8, NoHints); err == nil {
+		if _, err := VertexConnectivity(ctx, g, 8); err == nil {
 			t.Fatal("campaign finished before the cancel signal; grow the fixture")
 		}
 		cancel()
@@ -131,17 +131,17 @@ func TestPooledNetworksSurviveCancellation(t *testing.T) {
 			time.Sleep(5 * time.Millisecond)
 			cancel()
 		}()
-		_, _ = VertexConnectivity(ctx, big, 4, NoHints) // poisoned run: canceled mid-sweep
+		_, _ = VertexConnectivity(ctx, big, 4) // poisoned run: canceled mid-sweep
 		cancel()
 
 		// Correctness after reuse, across several shapes and both drivers.
-		if got, err := VertexConnectivity(context.Background(), completeBipartite(5, 7), 1+round%2*3, NoHints); err != nil || got != 5 {
+		if got, err := VertexConnectivity(context.Background(), completeBipartite(5, 7), 1+round%2*3); err != nil || got != 5 {
 			t.Fatalf("round %d: κ(K_{5,7}) = %d, %v; want 5", round, got, err)
 		}
-		if got, err := EdgeConnectivity(context.Background(), cycle(9), 1, NoHints); err != nil || got != 2 {
+		if got, err := EdgeConnectivity(context.Background(), cycle(9), 1); err != nil || got != 2 {
 			t.Fatalf("round %d: λ(C_9) = %d, %v; want 2", round, got, err)
 		}
-		if got, err := VertexConnectivity(context.Background(), twoTriangles(), 2, NoHints); err != nil || got != 1 {
+		if got, err := VertexConnectivity(context.Background(), twoTriangles(), 2); err != nil || got != 1 {
 			t.Fatalf("round %d: κ(two triangles) = %d, %v; want 1", round, got, err)
 		}
 	}

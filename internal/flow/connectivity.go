@@ -125,20 +125,15 @@ func MinVertexCutSet(g *graph.Graph, s, t int) ([]int, error) {
 //
 // The probe set is the shared dominating-set plan (see lambdaProbePlan):
 // λ(G) = min(δ, min over dominating-set pairs), which needs roughly
-// n/(δ+1) probes instead of the classic n−1. hints (NoHints for none) may
-// reorder the probes and tighten their early-exit limits; see SweepHints
-// for why they cannot change the result. Disconnected graphs and graphs
-// with fewer than two nodes have λ = 0.
-func EdgeConnectivity(ctx context.Context, g *graph.Graph, workers int, hints SweepHints) (int, error) {
+// n/(δ+1) probes instead of the classic n−1. Disconnected graphs and
+// graphs with fewer than two nodes have λ = 0.
+func EdgeConnectivity(ctx context.Context, g *graph.Graph, workers int) (int, error) {
 	n := g.Order()
 	if n < 2 {
 		return 0, ctx.Err()
 	}
 	best, _ := g.MinDegree()
-	if hints.Upper >= 0 && hints.Upper < best {
-		best = hints.Upper
-	}
-	d0, targets := lambdaProbePlan(g, hints)
+	d0, targets := lambdaProbePlan(g)
 	return sweepMin(ctx, "flow.lambda.worker", len(targets), workers, best, n,
 		func(nw *network) { nw.buildEdge(g, noEdge) },
 		func(nw *network, i, limit int) int {
@@ -156,9 +151,8 @@ func EdgeConnectivity(ctx context.Context, g *graph.Graph, workers int, hints Sw
 // those neighbors form a non-adjacent pair). The first part skips an
 // independent set of its targets, which cannot change the result (see
 // vertexProbePairs). The complete graph K_n has connectivity n-1 by
-// convention. hints (NoHints for none) only reorder the probes. A
-// canceled sweep returns ctx.Err() and no value.
-func VertexConnectivity(ctx context.Context, g *graph.Graph, workers int, hints SweepHints) (int, error) {
+// convention. A canceled sweep returns ctx.Err() and no value.
+func VertexConnectivity(ctx context.Context, g *graph.Graph, workers int) (int, error) {
 	n := g.Order()
 	if n < 2 || !g.Connected() {
 		return 0, ctx.Err()
@@ -168,9 +162,6 @@ func VertexConnectivity(ctx context.Context, g *graph.Graph, workers int, hints 
 		return n - 1, ctx.Err()
 	}
 	pairs := vertexProbePairs(g, v)
-	if len(hints.Critical) > 0 {
-		pairs = frontLoadCritical(pairs, hints.Critical, n, func(p probePair) (int, int) { return p.s, p.t })
-	}
 	// One split-node arena; each probe re-arms it for its pair. The sweep
 	// starts at δ, since κ(G) <= δ(G).
 	return sweepMin(ctx, "flow.kappa.worker", len(pairs), workers, minDeg, 2*n,
@@ -357,7 +348,7 @@ func GlobalMinEdgeCutSet(g *graph.Graph) ([]graph.Edge, error) {
 		return nil, fmt.Errorf("flow: no cut in a graph with %d nodes", n)
 	}
 	minDeg, mv := g.MinDegree()
-	d0, targets := lambdaProbePlan(g, NoHints)
+	d0, targets := lambdaProbePlan(g)
 	// One worker, so the probes run in order on the caller and bestT is
 	// the target of the last probe that lowered the minimum.
 	bestT := -1

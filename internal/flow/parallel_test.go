@@ -12,11 +12,11 @@ import (
 // oracle tests compare against. Background contexts cannot fail, so an
 // error here is a bug in the driver.
 func kappaWith(g *graph.Graph, workers int) int {
-	return must(VertexConnectivity(context.Background(), g, workers, NoHints))
+	return must(VertexConnectivity(context.Background(), g, workers))
 }
 
 func lambdaWith(g *graph.Graph, workers int) int {
-	return must(EdgeConnectivity(context.Background(), g, workers, NoHints))
+	return must(EdgeConnectivity(context.Background(), g, workers))
 }
 
 func restrictedOf(g *graph.Graph, workers int) int {

@@ -60,26 +60,6 @@ func probeProgress(sp trace.Span, i, total int) {
 // cancellation never leaks a goroutine — and report ctx.Err() once the
 // pool has drained.
 
-// SweepHints carries prescreen guidance into a connectivity sweep. Hints
-// change probe order and early-exit limits only — never the result: Upper
-// must be the value of an actual edge cut of the graph (λ ≤ Upper by
-// definition, so folding it into the λ running minimum is exact), and
-// Critical merely schedules probes touching those nodes first so the
-// shared minimum drops as early as possible.
-type SweepHints struct {
-	// Upper is a certified cut value (< 0 when absent). Only the λ sweep
-	// folds it in; a vertex sweep uses it for nothing — an edge cut value
-	// bounds κ too, but κ's sweep minimum must stay over attainable vertex
-	// cuts, so it is scheduling-only there.
-	Upper int
-	// Critical lists node ids suspected to sit on the small side of a
-	// near-minimum cut; probes involving them run first.
-	Critical []int
-}
-
-// NoHints is the hint-free sweep configuration.
-var NoHints = SweepHints{Upper: -1}
-
 // buildArena builds the one topology of a sweep on the caller, into a
 // pooled network armed with ctx. Worker 0 probes on it; every other worker
 // probes on a copy (workerNet).
@@ -174,45 +154,9 @@ func atomicMin(a *atomic.Int64, v int) int {
 // intersects both sides and λ(G) = min(δ, min over d ∈ D∖{d0} of the
 // d0-d min cut). That replaces the classic n−1 per-target λ probes with
 // |D|−1 ≈ n/(δ+1) probes sharing one pivot.
-func lambdaProbePlan(g *graph.Graph, hints SweepHints) (d0 int, targets []int) {
+func lambdaProbePlan(g *graph.Graph) (d0 int, targets []int) {
 	dom := g.DominatingSet()
-	d0, targets = dom[0], dom[1:]
-	if len(hints.Critical) > 0 {
-		targets = frontLoadCritical(targets, hints.Critical, g.Order(), func(t int) (int, int) { return t, t })
-	}
-	return d0, targets
-}
-
-// frontLoadCritical stably reorders probes so those touching a critical
-// node (either of the two nodes ends returns) come first. The relative
-// order inside each class is preserved, keeping the sweep deterministic
-// for a fixed hint set.
-func frontLoadCritical[P any](probes []P, critical []int, n int, ends func(P) (int, int)) []P {
-	mark := make([]bool, n)
-	for _, v := range critical {
-		if v >= 0 && v < n {
-			mark[v] = true
-		}
-	}
-	hot := func(p P) bool {
-		a, b := ends(p)
-		return mark[a] || mark[b]
-	}
-	out := make([]P, 0, len(probes))
-	for _, p := range probes {
-		if hot(p) {
-			out = append(out, p)
-		}
-	}
-	if len(out) == 0 || len(out) == len(probes) {
-		return probes
-	}
-	for _, p := range probes {
-		if !hot(p) {
-			out = append(out, p)
-		}
-	}
-	return out
+	return dom[0], dom[1:]
 }
 
 // canonicalIndices maps each edge to its index in the canonical g.Edges()

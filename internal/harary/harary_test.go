@@ -61,10 +61,10 @@ func TestBuildIsExactlyKConnected(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Build(%d,%d): %v", n, k, err)
 			}
-			if got, _ := flow.VertexConnectivity(context.Background(), g, 1, flow.NoHints); got != k {
+			if got, _ := flow.VertexConnectivity(context.Background(), g, 1); got != k {
 				t.Fatalf("κ(H(%d,%d)) = %d, want %d", k, n, got, k)
 			}
-			if got, _ := flow.EdgeConnectivity(context.Background(), g, 1, flow.NoHints); got != k {
+			if got, _ := flow.EdgeConnectivity(context.Background(), g, 1); got != k {
 				t.Fatalf("λ(H(%d,%d)) = %d, want %d", k, n, got, k)
 			}
 		}

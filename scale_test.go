@@ -71,10 +71,10 @@ func TestScaleConnectivityExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	if kappa, err := flow.VertexConnectivity(ctx, g, 0, flow.NoHints); err != nil || kappa != 4 {
+	if kappa, err := flow.VertexConnectivity(ctx, g, 0); err != nil || kappa != 4 {
 		t.Fatalf("K-DIAMOND(1000,4): κ = %d (err %v), want 4", kappa, err)
 	}
-	if lambda, err := flow.EdgeConnectivity(ctx, g, 0, flow.NoHints); err != nil || lambda != 4 {
+	if lambda, err := flow.EdgeConnectivity(ctx, g, 0); err != nil || lambda != 4 {
 		t.Fatalf("K-DIAMOND(1000,4): λ = %d (err %v), want 4", lambda, err)
 	}
 }
