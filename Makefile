@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt test race bench bench-verify bench-sparsify bench-reconfigure bench-flood clean
+.PHONY: all build vet fmt test race loc bench bench-verify bench-sparsify bench-reconfigure bench-flood clean
 
 all: build vet fmt test
 
@@ -18,6 +18,14 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# loc prints the size of the root module: its non-test Go lines and its
+# exported functions and methods (the lhgbench module is excluded).
+LOC_FILES = find . -name '*.go' ! -name '*_test.go' -not -path './lhgbench/*' -not -path './.*'
+
+loc:
+	@echo "non-test Go lines: $$($(LOC_FILES) -exec cat {} + | wc -l)"
+	@echo "exported funcs and methods: $$($(LOC_FILES) -exec cat {} + | grep -cE '^func (\([^)]*\) )?[A-Z]')"
 
 # bench2json turns `go test -bench` output into the BENCH_*.json shape:
 # run metadata plus ns/op and allocs/op per benchmark, so successive PRs

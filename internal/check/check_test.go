@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"lhg/internal/graph"
+	"lhg/internal/harary"
 )
 
 func cycle(n int) *graph.Graph {
@@ -33,6 +34,36 @@ func petersen() *graph.Graph {
 		b.MustAddEdge(v, (v+1)%5)     // outer cycle
 		b.MustAddEdge(5+v, 5+(v+2)%5) // inner pentagram
 		b.MustAddEdge(v, 5+v)         // spokes
+	}
+	return b.Freeze()
+}
+
+func mustHarary(t *testing.T, n, k int) *graph.Graph {
+	t.Helper()
+	h, err := harary.Build(n, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
+// randomGraph returns a G(n, 1/2) graph drawn from a xorshift stream
+// seeded by seed.
+func randomGraph(n int, seed uint64) *graph.Graph {
+	b := graph.NewBuilder(n)
+	state := seed | 1
+	next := func() uint64 {
+		state ^= state << 13
+		state ^= state >> 7
+		state ^= state << 17
+		return state
+	}
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			if next()%2 == 0 {
+				b.MustAddEdge(u, v)
+			}
+		}
 	}
 	return b.Freeze()
 }

@@ -5,9 +5,11 @@ package check
 // A full verification is O(n) max-flow probes; under sustained churn the
 // topology changes by O(k²) edges per event, so re-running the campaign
 // from scratch throws away almost everything the previous report already
-// established. VerifyDelta re-derives the full report from (previous
-// report, edge delta) with a handful of LOCALIZED probes, falling back to
-// the full campaign whenever the fast path cannot certify exactness.
+// established. DeltaVerifier.Advance re-derives the full report from
+// (previous report, edge delta) with a handful of LOCALIZED probes, falling
+// back to the full campaign whenever the fast path cannot certify
+// exactness. The previous report is always one the verifier computed
+// itself, never one a caller hands in.
 //
 // Soundness. Let G be the previous graph with κ(G) >= c and λ(G) >= c
 // (from the previous report), and G′ the graph after the delta. Write
@@ -82,16 +84,14 @@ const (
 const expansionCompCap = 12
 
 // DeltaVerifier carries verification state across a churn stream: the
-// current graph, its full report, and the incrementally maintained sparse
-// certificate whose membership diff sizes the re-probe frontier. It is the
-// engine behind the daemon's stateful reconfigure sessions. Not safe for
-// concurrent use; callers serialize Advance.
+// current graph and its full report. It is the engine behind the daemon's
+// stateful reconfigure sessions. Not safe for concurrent use; callers
+// serialize Advance.
 type DeltaVerifier struct {
-	k       int
-	opt     Options
-	g       *graph.Graph
-	tracker *graph.CertTracker
-	report  *Report
+	k      int
+	opt    Options
+	g      *graph.Graph
+	report *Report
 }
 
 // NewDeltaVerifier runs one full verification of g and arms the
@@ -101,13 +101,7 @@ func NewDeltaVerifier(ctx context.Context, g *graph.Graph, k int, opt Options) (
 	if err != nil {
 		return nil, err
 	}
-	return &DeltaVerifier{
-		k:       k,
-		opt:     opt,
-		g:       g,
-		tracker: graph.NewCertTracker(g, k+1),
-		report:  r,
-	}, nil
+	return &DeltaVerifier{k: k, opt: opt, g: g, report: r}, nil
 }
 
 // Graph returns the current epoch's graph.
@@ -115,9 +109,6 @@ func (dv *DeltaVerifier) Graph() *graph.Graph { return dv.g }
 
 // Report returns the current epoch's report.
 func (dv *DeltaVerifier) Report() *Report { return dv.report }
-
-// K returns the connectivity target.
-func (dv *DeltaVerifier) K() int { return dv.k }
 
 // Advance applies d (resizing to n nodes), re-verifies incrementally and
 // returns the new report — bit-identical to a fresh full verification of
@@ -127,47 +118,23 @@ func (dv *DeltaVerifier) Advance(ctx context.Context, d graph.EdgeDelta, n int) 
 	if err != nil {
 		return nil, err
 	}
-	changed := dv.tracker.Advance(next, d)
-	r, err := verifyDelta(ctx, dv.g, dv.report, d, next, len(changed), dv.k, dv.opt)
+	r, err := verifyDelta(ctx, dv.g, dv.report, d, next, dv.k, dv.opt)
 	if err != nil {
-		// The tracker already moved; rewind it so the verifier's epochs
-		// stay coherent (cheap: the certificate scan is flow-free).
-		dv.tracker = graph.NewCertTracker(dv.g, dv.k+1)
 		return nil, err
 	}
 	dv.g, dv.report = next, r
 	return r, nil
 }
 
-// VerifyDelta re-verifies prevGraph after the edge delta d (resizing to n
-// nodes): given prev — the report of a verification of prevGraph — it
-// returns the report of the resulting graph, bit-identical to a fresh
-// Verify, probing only the delta's frontier when the localization
-// conditions hold. One-shot form of DeltaVerifier for callers that do not
-// hold a session.
-func VerifyDelta(ctx context.Context, prevGraph *graph.Graph, prev *Report, d graph.EdgeDelta, n int, opt Options) (*Report, error) {
-	next, err := prevGraph.ApplyDelta(d, n)
-	if err != nil {
-		return nil, err
-	}
-	tracker := graph.NewCertTracker(prevGraph, prev.K+1)
-	changed := tracker.Advance(next, d)
-	return verifyDelta(ctx, prevGraph, prev, d, next, len(changed), prev.K, opt)
-}
-
-func verifyDelta(ctx context.Context, prevG *graph.Graph, prev *Report, d graph.EdgeDelta, next *graph.Graph, frontier, k int, opt Options) (*Report, error) {
+func verifyDelta(ctx context.Context, prevG *graph.Graph, prev *Report, d graph.EdgeDelta, next *graph.Graph, k int, opt Options) (*Report, error) {
 	n := next.Order()
-	if k < 1 {
-		return nil, fmt.Errorf("check: connectivity target k=%d must be >= 1", k)
-	}
 	if n <= k {
 		return nil, fmt.Errorf("check: k=%d must be < n=%d", k, n)
 	}
 	mDeltaRuns.Inc()
 	fctx, fsp := trace.StartSpan(ctx, "check.delta.fastpath")
-	r, ok, err := deltaFastPath(fctx, prevG, prev, d, next, frontier, k, opt)
+	r, ok, err := deltaFastPath(fctx, prevG, prev, d, next, k, opt)
 	if fsp.Live() {
-		fsp.SetAttr(trace.Int("frontier", int64(frontier)))
 		if ok {
 			fsp.SetAttr(trace.Str("outcome", "certified"))
 		} else {
@@ -191,12 +158,11 @@ func verifyDelta(ctx context.Context, prevG *graph.Graph, prev *Report, d graph.
 
 // deltaFastPath attempts the localized re-verification. ok=false means
 // "cannot certify, run the full campaign" — never an incorrect report.
-func deltaFastPath(ctx context.Context, prevG *graph.Graph, prev *Report, d graph.EdgeDelta, next *graph.Graph, frontier, k int, opt Options) (*Report, bool, error) {
+func deltaFastPath(ctx context.Context, prevG *graph.Graph, prev *Report, d graph.EdgeDelta, next *graph.Graph, k int, opt Options) (*Report, bool, error) {
 	props := opt.Props.normalized()
 	if props != PropAll {
-		return nil, false, nil // partial reports: no previous values to lean on
-	}
-	if prev == nil || !prev.Checked.Has(PropNodeConnectivity|PropLinkConnectivity) {
+		// Partial reports: the previous epoch, verified with the same
+		// options, has no κ and λ to lean on.
 		return nil, false, nil
 	}
 	workers := graph.ClampWorkers(opt.Workers, 0)
@@ -210,9 +176,6 @@ func deltaFastPath(ctx context.Context, prevG *graph.Graph, prev *Report, d grap
 	c := r.MinDegree
 	if c < 1 || prev.NodeConnectivity < c || prev.EdgeConnectivity < c {
 		return nil, false, nil
-	}
-	if frontier > n/2 {
-		return nil, false, nil // certificate membership moved wholesale
 	}
 
 	// Plan the localized pair probes.

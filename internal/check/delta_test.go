@@ -2,8 +2,10 @@ package check
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"lhg/internal/core"
@@ -203,14 +205,14 @@ func TestVerifyDeltaFallsBackOnDamage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prev, err := Verify(context.Background(), g, 2, Options{Workers: 1})
+	dv, err := NewDeltaVerifier(context.Background(), g, 2, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Tear out two opposite edges: the cycle splits into two paths.
 	cut := graph.EdgeDelta{Removed: []graph.Edge{{U: 0, V: 1}, {U: 4, V: 5}}}
 	fb0 := mDeltaFallbacks.Value()
-	got, err := VerifyDelta(context.Background(), g, prev, cut, 8, Options{Workers: 1})
+	got, err := dv.Advance(context.Background(), cut, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,17 +243,16 @@ func TestVerifyDeltaPartialPropsFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := Options{Workers: 1, Props: PropDiameter}
-	prev, err := Verify(context.Background(), gr.Graph(), k, opt)
+	dv, err := NewDeltaVerifier(context.Background(), gr.Graph(), k, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := gr.Graph()
 	d, err := gr.Grow()
 	if err != nil {
 		t.Fatal(err)
 	}
 	fb0 := mDeltaFallbacks.Value()
-	got, err := VerifyDelta(context.Background(), g, prev, d, gr.N(), opt)
+	got, err := dv.Advance(context.Background(), d, gr.N())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +288,7 @@ func TestVerifyDeltaRandomGraphs(t *testing.T) {
 			t.Fatal(err)
 		}
 		k := 1 + rng.Intn(3)
-		prev, err := Verify(context.Background(), g, k, Options{Workers: 1})
+		dv, err := NewDeltaVerifier(context.Background(), g, k, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -305,7 +306,7 @@ func TestVerifyDeltaRandomGraphs(t *testing.T) {
 			}
 		}
 		d.Normalize()
-		got, err := VerifyDelta(context.Background(), g, prev, d, n, Options{Workers: 1})
+		got, err := dv.Advance(context.Background(), d, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -358,4 +359,104 @@ func TestDeltaVerifierKeepsEpochOnError(t *testing.T) {
 		t.Fatal(err)
 	}
 	reportsMatch(t, "post-error epoch", got, want)
+}
+
+// cancelOnPoll is a context that cancels itself on its at-th Err poll
+// (never, when at is 0) and counts every poll, so a test can land a
+// cancellation at a fixed point inside a serial campaign.
+type cancelOnPoll struct {
+	context.Context
+	cancel context.CancelFunc
+	at     int64
+	polls  atomic.Int64
+}
+
+func newCancelOnPoll(at int64) *cancelOnPoll {
+	ctx, cancel := context.WithCancel(context.Background())
+	return &cancelOnPoll{Context: ctx, cancel: cancel, at: at}
+}
+
+func (c *cancelOnPoll) Err() error {
+	if c.polls.Add(1) == c.at {
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
+// TestDeltaVerifierCanceledAdvanceKeepsEpoch: a valid delta whose Advance
+// is canceled half-way through the full-campaign fallback returns the
+// cancellation and leaves the verifier on its previous graph and report;
+// the next Advance of the same delta equals a fresh Verify.
+func TestDeltaVerifierCanceledAdvanceKeepsEpoch(t *testing.T) {
+	obs.Enable()
+	k := 3
+	gr, err := core.NewKTreeGrowerAt(k, 102)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := gr.Graph()
+	opt := Options{Workers: 1}
+	// Tearing out a matching larger than the pair gate forces the
+	// fallback; δ stays 2, so the full campaign still runs its κ and λ
+	// sweeps and the cancel lands between their probes.
+	var d graph.EdgeDelta
+	used := make([]bool, g.Order())
+	for _, e := range g.Edges() {
+		if len(d.Removed) > g.Order()/deltaProbeGateDiv {
+			break
+		}
+		if !used[e.U] && !used[e.V] {
+			used[e.U], used[e.V] = true, true
+			d.Removed = append(d.Removed, e)
+		}
+	}
+	n := g.Order()
+
+	// Count the polls of an uncanceled Advance to aim at its middle.
+	probe, err := NewDeltaVerifier(context.Background(), g, k, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := newCancelOnPoll(0)
+	defer count.cancel()
+	fb0, probes0 := mDeltaFallbacks.Value(), mFlowProbes.Value()
+	if _, err := probe.Advance(count, d, n); err != nil {
+		t.Fatal(err)
+	}
+	if mDeltaFallbacks.Value() != fb0+1 {
+		t.Fatal("delta did not fall back to the full campaign; widen it past the pair gate")
+	}
+	polls, fullProbes := count.polls.Load(), mFlowProbes.Value()-probes0
+
+	dv, err := NewDeltaVerifier(context.Background(), g, k, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, beforeG := dv.Report(), dv.Graph()
+	mid := newCancelOnPoll(polls / 2)
+	defer mid.cancel()
+	probes0 = mFlowProbes.Value()
+	if _, err := dv.Advance(mid, d, n); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled advance: err = %v, want context.Canceled", err)
+	}
+	if ran := mFlowProbes.Value() - probes0; ran == 0 || ran >= fullProbes {
+		t.Fatalf("canceled advance ran %d of the campaign's %d probes; want a cancel mid-campaign", ran, fullProbes)
+	}
+	if dv.Report() != before || dv.Graph() != beforeG {
+		t.Fatal("canceled advance must keep the previous epoch")
+	}
+
+	got, err := dv.Advance(context.Background(), d, n)
+	if err != nil {
+		t.Fatalf("advance after canceled epoch: %v", err)
+	}
+	next, err := g.ApplyDelta(d, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Verify(context.Background(), next, k, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reportsMatch(t, "post-cancel epoch", got, want)
 }

@@ -124,8 +124,8 @@ func FuzzVerifySparseEquivFull(f *testing.F) {
 
 // FuzzVerifyDeltaEquivFull is the differential guard on the incremental
 // path: for every generated (base graph, churn script) pair, the report
-// VerifyDelta produces from (prev graph, prev report, delta) must be
-// bit-identical to a fresh full verification of the patched graph —
+// DeltaVerifier.Advance produces from the base graph's epoch and the delta
+// must be bit-identical to a fresh full verification of the patched graph —
 // whichever of the fast path or the fallback fires. The churn script is
 // decoded into a valid EdgeDelta: the first byte picks the new order
 // (growth, shrink or in-place), departures are torn down completely, and
@@ -154,7 +154,7 @@ func FuzzVerifyDeltaEquivFull(f *testing.F) {
 			k = 1 + ((k%(m-1))+(m-1))%(m-1)
 		}
 		ctx := context.Background()
-		prev, err := Verify(ctx, g, k, Options{Workers: 1})
+		dv, err := NewDeltaVerifier(ctx, g, k, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +191,7 @@ func FuzzVerifyDeltaEquivFull(f *testing.F) {
 			}
 		}
 		d.Normalize()
-		got, err := VerifyDelta(ctx, g, prev, d, n2, Options{Workers: 1})
+		got, err := dv.Advance(ctx, d, n2)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -91,24 +91,6 @@ func edgeLess(a, b Edge) bool {
 	return a.V < b.V
 }
 
-// Touched returns the sorted set of node ids incident to any added or
-// removed edge — the frontier an incremental re-verification must examine.
-func (d EdgeDelta) Touched() []int {
-	seen := make(map[int]bool, 2*d.Total())
-	for _, e := range d.Added {
-		seen[e.U], seen[e.V] = true, true
-	}
-	for _, e := range d.Removed {
-		seen[e.U], seen[e.V] = true, true
-	}
-	out := make([]int, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
-	sort.Ints(out)
-	return out
-}
-
 // ApplyDelta produces the frozen graph that results from applying d to g
 // and resizing the node set to n (n > g.Order() admits new isolated-then-
 // wired nodes; n < g.Order() drops departed top labels, whose links must

@@ -36,16 +36,6 @@ func TestNormalizeCancelsOpposites(t *testing.T) {
 	}
 }
 
-func TestTouchedIsSortedUnion(t *testing.T) {
-	d := EdgeDelta{
-		Added:   []Edge{{U: 7, V: 2}},
-		Removed: []Edge{{U: 2, V: 5}, {U: 0, V: 7}},
-	}
-	if got, want := d.Touched(), []int{0, 2, 5, 7}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("Touched = %v, want %v", got, want)
-	}
-}
-
 // randomGraph returns a graph over n nodes where each pair is linked with
 // probability p, using the caller's deterministic source.
 func randomGraphP(rng *rand.Rand, n int, p float64) *Graph {

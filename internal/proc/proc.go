@@ -14,7 +14,6 @@ package proc
 
 import (
 	"fmt"
-	"sort"
 
 	"lhg/internal/graph"
 	"lhg/internal/sim"
@@ -98,10 +97,9 @@ type process struct {
 	crashTime int64
 	hasCrash  bool
 	delivered map[MsgID]Message
-	order     []Message // raw delivery order
+	order     []Message // delivery order
 	heardAt   map[MsgID]int64
 	nextSeq   int
-	fifo      *fifoState
 }
 
 // NewNetwork creates a network of g.Order() processes over topology g.
@@ -122,7 +120,6 @@ func NewNetwork(g *graph.Graph, opts ...Option) (*Network, error) {
 			id:        i,
 			delivered: make(map[MsgID]Message),
 			heardAt:   make(map[MsgID]int64),
-			fifo:      newFIFOState(),
 		}
 		if at, ok := cfg.crashAt[i]; ok {
 			p.hasCrash = true
@@ -172,7 +169,6 @@ func (n *Network) receive(to int, msg Message) {
 	p.delivered[msg.ID] = msg
 	p.order = append(p.order, msg)
 	p.heardAt[msg.ID] = now
-	p.fifo.push(msg)
 	// Forward on every link; with send overhead the emissions stagger and a
 	// crash can cut the sequence short.
 	offset := int64(0)
@@ -196,9 +192,6 @@ func (n *Network) Run() int64 {
 	n.q.Run(-1)
 	return n.q.Now()
 }
-
-// RunUntil processes events up to the deadline.
-func (n *Network) RunUntil(deadline int64) { n.q.RunUntil(deadline) }
 
 // Now returns the current simulated time.
 func (n *Network) Now() int64 { return n.q.Now() }
@@ -236,25 +229,6 @@ func (n *Network) Delivered(id int) []Message {
 		return nil
 	}
 	return append([]Message(nil), n.procs[id].order...)
-}
-
-// DeliveredIDs returns the set of message ids delivered by process id,
-// sorted for deterministic comparison.
-func (n *Network) DeliveredIDs(id int) []MsgID {
-	if id < 0 || id >= len(n.procs) {
-		return nil
-	}
-	out := make([]MsgID, 0, len(n.procs[id].delivered))
-	for mid := range n.procs[id].delivered {
-		out = append(out, mid)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Src != out[j].Src {
-			return out[i].Src < out[j].Src
-		}
-		return out[i].Seq < out[j].Seq
-	})
-	return out
 }
 
 // HeardAt returns when process id delivered the message, or -1.

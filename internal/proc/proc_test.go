@@ -158,7 +158,7 @@ func TestMultipleConcurrentBroadcasts(t *testing.T) {
 	}
 	n.Run()
 	for id := 0; id < g.Order(); id++ {
-		got := n.DeliveredIDs(id)
+		got := n.Delivered(id)
 		if len(got) != 5 {
 			t.Fatalf("process %d delivered %d of 5 broadcasts", id, len(got))
 		}
@@ -289,7 +289,7 @@ func TestAccessorsOutOfRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n.Delivered(-1) != nil || n.DeliveredIDs(9) != nil {
+	if n.Delivered(-1) != nil || n.Delivered(9) != nil {
 		t.Fatal("out-of-range accessors must return nil")
 	}
 	if n.HeardAt(9, MsgID{}) != -1 {

@@ -400,11 +400,10 @@ func Screen(ctx context.Context, g *Graph, k int, opt ScreenOptions) (*ScreenRep
 }
 
 // DeltaVerifier carries verification state across a churn stream: the
-// current graph, its full report, and an incrementally maintained sparse
-// certificate. Advance re-verifies after an edge delta with a handful of
-// localized max-flow probes when possible, falling back to the full
-// campaign otherwise — the report is bit-identical to a fresh Verify
-// either way. Not safe for concurrent use.
+// current graph and its full report. Advance re-verifies after an edge
+// delta with a handful of localized max-flow probes when possible, falling
+// back to the full campaign otherwise — the report is bit-identical to a
+// fresh Verify either way. Not safe for concurrent use.
 type DeltaVerifier = check.DeltaVerifier
 
 // NewDeltaVerifier runs one full verification of g against target k and
@@ -416,26 +415,6 @@ func NewDeltaVerifier(ctx context.Context, g *Graph, k int, opts ...Option) (*De
 	defer sp.End()
 	o := applyOptions(opts)
 	return check.NewDeltaVerifier(ctx, g, k, check.Options{
-		Workers: o.workers,
-		Props:   o.props,
-	})
-}
-
-// VerifyDelta is the one-shot form of DeltaVerifier.Advance: given a graph,
-// the report of its verification and an edge delta resizing it to n nodes,
-// it returns the report of the resulting graph — bit-identical to a fresh
-// Verify, at the cost of only the delta's localized probes when the
-// incremental conditions hold.
-func VerifyDelta(ctx context.Context, g *Graph, prev *Report, d EdgeDelta, n int, opts ...Option) (*Report, error) {
-	ctx, sp := trace.StartRoot(ctx, "lhg.VerifyDelta")
-	if sp.Live() {
-		sp.SetAttr(trace.Int("n", int64(n)))
-		sp.SetAttr(trace.Int("added", int64(len(d.Added))))
-		sp.SetAttr(trace.Int("removed", int64(len(d.Removed))))
-	}
-	defer sp.End()
-	o := applyOptions(opts)
-	return check.VerifyDelta(ctx, g, prev, d, n, check.Options{
 		Workers: o.workers,
 		Props:   o.props,
 	})
