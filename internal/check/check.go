@@ -362,8 +362,17 @@ func verifyLinkMinimality(ctx context.Context, g *graph.Graph, r *Report, worker
 		// lowers a degree below λ and with it the link connectivity.
 		return true, nil
 	}
-	edges := g.Edges()
-	mP3EdgesProbed.Add(int64(len(edges)))
+	mP3EdgesProbed.Add(int64(g.Size()))
+	// An edge with an endpoint of degree <= max(κ, λ) is never removable
+	// (the degree shortcut of flow.EdgeIsRemovable), so only the others
+	// enter the batch; the first removable edge in canonical order is the
+	// same, and near-regular graphs never materialize their edge list.
+	var edges []graph.Edge
+	g.EachEdge(func(u, v int) {
+		if d := min(g.Degree(u), g.Degree(v)); d > lambda && d > kappa {
+			edges = append(edges, graph.Edge{U: u, V: v})
+		}
+	})
 	removable, err := flow.EdgesRemovable(ctx, g, edges, kappa, lambda, workers)
 	if err != nil {
 		return false, err

@@ -125,8 +125,9 @@ func MinVertexCutSet(g *graph.Graph, s, t int) ([]int, error) {
 //
 // The probe set is the shared dominating-set plan (see lambdaProbePlan):
 // λ(G) = min(δ, min over dominating-set pairs), which needs roughly
-// n/(δ+1) probes instead of the classic n−1. Disconnected graphs and
-// graphs with fewer than two nodes have λ = 0.
+// n/(δ+1) probes instead of the classic n−1. Every probed target joins
+// the source side of its worker's later probes (lambdaProbe).
+// Disconnected graphs and graphs with fewer than two nodes have λ = 0.
 func EdgeConnectivity(ctx context.Context, g *graph.Graph, workers int) (int, error) {
 	n := g.Order()
 	if n < 2 {
@@ -136,10 +137,23 @@ func EdgeConnectivity(ctx context.Context, g *graph.Graph, workers int) (int, er
 	d0, targets := lambdaProbePlan(g)
 	return sweepMin(ctx, "flow.lambda.worker", len(targets), workers, best, n,
 		func(nw *network) { nw.buildEdge(g, noEdge) },
-		func(nw *network, i, limit int) int {
-			nw.rearm()
-			return nw.maxflow(d0, targets[i], limit)
-		})
+		func(nw *network, i, limit int) int { return lambdaProbe(nw, d0, targets[i], limit) })
+}
+
+// lambdaProbe is one probe of the shared-pivot λ sweep: the d0-t flow on
+// a buildEdge arena, from d0 and every target this network probed before,
+// early-exiting at limit. Afterwards t joins those sources, whatever the
+// probe returned. That keeps the sweep's contract: a value below limit is
+// λ(d0,t), and any other value means λ(d0,t) ≥ limit. Each earlier target
+// t₀ has λ(d0,t₀) at least the running minimum, which is at least limit, so
+// every cut below limit that separates d0 from t has t₀ on d0's side and
+// separates the whole source set from t; and a cut that separates the
+// source set from t separates d0 from t.
+func lambdaProbe(nw *network, d0, t, limit int) int {
+	nw.rearm()
+	f := nw.maxflow(d0, t, limit)
+	nw.addSource(t)
+	return f
 }
 
 // VertexConnectivity returns the global vertex connectivity κ(G) using the
@@ -150,8 +164,9 @@ func EdgeConnectivity(ctx context.Context, g *graph.Graph, workers int) (int, er
 // (then, by minimality, v has neighbors in two different components, and
 // those neighbors form a non-adjacent pair). The first part skips an
 // independent set of its targets, which cannot change the result (see
-// vertexProbePairs). The complete graph K_n has connectivity n-1 by
-// convention. A canceled sweep returns ctx.Err() and no value.
+// vertexProbePairs), and grows a source set like the λ sweep (see
+// kappaProbe). The complete graph K_n has connectivity n-1 by convention.
+// A canceled sweep returns ctx.Err() and no value.
 func VertexConnectivity(ctx context.Context, g *graph.Graph, workers int) (int, error) {
 	n := g.Order()
 	if n < 2 || !g.Connected() {
@@ -166,15 +181,34 @@ func VertexConnectivity(ctx context.Context, g *graph.Graph, workers int) (int, 
 	// starts at δ, since κ(G) <= δ(G).
 	return sweepMin(ctx, "flow.kappa.worker", len(pairs), workers, minDeg, 2*n,
 		func(nw *network) { nw.buildVertexBase(g, n+1, noEdge) },
-		func(nw *network, i, limit int) int {
-			p := pairs[i]
-			nw.armVertexPair(p.s, p.t)
-			return nw.maxflow(2*p.s+1, 2*p.t, limit)
-		})
+		func(nw *network, i, limit int) int { return kappaProbe(nw, v, pairs[i], limit) })
+}
+
+// kappaProbe is one probe of the κ sweep on a buildVertexBase arena,
+// early-exiting at limit. A probe of v against a non-neighbor t runs from
+// v_out and from the in-node t₀_in of every earlier such target t₀ of this
+// network, and then t_in joins those sources. The reason is the λ sweep's
+// (see lambdaProbe), with one more case: an earlier target t₀ may lie in a
+// vertex cut C below limit that separates v from t. The split-node cut of
+// C then has t₀_in on the source side and t₀_out on the sink side, so
+// t₀_in may be a source and t₀_out must not be one (the rearm drops t₀'s
+// terminal boost). A neighbor-pair probe has another source, so it first
+// drops the extra sources; the v probes of this network after it then
+// start a new set, which is sound because any subset of probed targets is.
+func kappaProbe(nw *network, v int, p probePair, limit int) int {
+	s, t := int(p.s), int(p.t)
+	nw.armVertexPair(s, t)
+	if s != v {
+		nw.clearSources()
+		return nw.maxflow(2*s+1, 2*t, limit)
+	}
+	f := nw.maxflow(2*v+1, 2*t, limit)
+	nw.addSource(2 * t)
+	return f
 }
 
 // probePair is one s-t vertex-cut probe of the Esfahanian–Hakimi sweep.
-type probePair struct{ s, t int }
+type probePair struct{ s, t int32 }
 
 // vertexProbePairs collects the probe pairs of both reduction parts for
 // minimum-degree node v: v against every non-neighbor outside a greedy
@@ -220,13 +254,13 @@ func vertexProbePairs(g *graph.Graph, v int) []probePair {
 	pairs := make([]probePair, 0, count)
 	for t, c := range class {
 		if c == probed {
-			pairs = append(pairs, probePair{v, t})
+			pairs = append(pairs, probePair{int32(v), int32(t)})
 		}
 	}
 	for i := 0; i < len(nbrs); i++ {
 		for j := i + 1; j < len(nbrs); j++ {
 			if !g.HasEdge(nbrs[i], nbrs[j]) {
-				pairs = append(pairs, probePair{nbrs[i], nbrs[j]})
+				pairs = append(pairs, probePair{int32(nbrs[i]), int32(nbrs[j])})
 			}
 		}
 	}
@@ -350,13 +384,13 @@ func GlobalMinEdgeCutSet(g *graph.Graph) ([]graph.Edge, error) {
 	minDeg, mv := g.MinDegree()
 	d0, targets := lambdaProbePlan(g)
 	// One worker, so the probes run in order on the caller and bestT is
-	// the target of the last probe that lowered the minimum.
+	// the target of the last probe that lowered the minimum. Its value is
+	// λ(d0, bestT) (see lambdaProbe), so the d0-bestT cut is a minimum.
 	bestT := -1
 	if _, err := sweepMin(context.TODO(), "flow.lambda.worker", len(targets), 1, minDeg, n,
 		func(nw *network) { nw.buildEdge(g, noEdge) },
 		func(nw *network, i, limit int) int {
-			nw.rearm()
-			f := nw.maxflow(d0, targets[i], limit)
+			f := lambdaProbe(nw, d0, targets[i], limit)
 			if f < limit {
 				bestT = targets[i]
 			}

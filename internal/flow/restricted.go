@@ -76,10 +76,10 @@ func (nw *network) armEdgePair(m int, src, dst graph.Edge) {
 	nw.rearm()
 	c := int32(2 * nw.n)
 	base := 4 * m
-	nw.cap[base+4*src.U] = c
-	nw.cap[base+4*src.V] = c
-	nw.cap[base+4*dst.U+2] = c
-	nw.cap[base+4*dst.V+2] = c
+	nw.setCap(base+4*src.U, c)
+	nw.setCap(base+4*src.V, c)
+	nw.setCap(base+4*dst.U+2, c)
+	nw.setCap(base+4*dst.V+2, c)
 }
 
 // RestrictedEdgeConnectivity returns λ′(G) across `workers` goroutines

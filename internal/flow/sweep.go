@@ -48,9 +48,11 @@ func probeProgress(sp trace.Span, i, total int) {
 // Probe sweeps. Every global question of this package (κ, λ, λ′, the
 // global min cut and the P3 removal batch) is a fixed set of max-flow
 // probes over one topology. The caller builds that topology once as a
-// pooled arena; worker 0 probes on it and every extra worker on a copy,
-// re-arming capacities per probe instead of rebuilding. The frozen
-// CSR graph is shared read-only. Probes are scheduled by the work stealer
+// recycled arena; worker 0 probes on it and every extra worker on a copy,
+// re-arming capacities per probe instead of rebuilding. The κ and λ
+// probes also grow a source set on the network they run on (see
+// lambdaProbe and kappaProbe), so each worker's set holds the targets that
+// worker probed. The frozen CSR graph is shared read-only. Probes are scheduled by the work stealer
 // (steal.go), which runs a one-worker sweep inline on the caller in index
 // order.
 //
@@ -61,7 +63,7 @@ func probeProgress(sp trace.Span, i, total int) {
 // pool has drained.
 
 // buildArena builds the one topology of a sweep on the caller, into a
-// pooled network armed with ctx. Worker 0 probes on it; every other worker
+// recycled network armed with ctx. Worker 0 probes on it; every other worker
 // probes on a copy (workerNet).
 func buildArena(ctx context.Context, size int, build func(*network)) *network {
 	nw := getNetwork(size)
@@ -71,7 +73,7 @@ func buildArena(ctx context.Context, size int, build func(*network)) *network {
 }
 
 // workerNet returns the network worker w probes on: the arena itself for
-// worker 0, a pooled copy for any other. Copies read only the parts of the
+// worker 0, a recycled copy for any other. Copies read only the parts of the
 // arena that finish froze (targets, CSR index, pristine capacities), so
 // they are safe while worker 0 probes it.
 func workerNet(ctx context.Context, arena *network, w int) *network {
@@ -194,9 +196,10 @@ func canonicalIndices(g *graph.Graph, edges []graph.Edge) ([]int32, error) {
 // Edges whose endpoint degree already caps a probe below its bar take the
 // degree shortcut of EdgeIsRemovable without a flow. The rest run on
 // one unmasked edge arena and one split-node arena, built once: every
-// probe is rearm + canonical-index mask + early-exit max flow — two
-// capacity copies per edge instead of two topology rebuilds, which is
-// where the P3 sweep spends its time on large instances. A canceled sweep
+// probe is rearm + canonical-index mask + early-exit max flow — two undos
+// of the previous probe's writes per edge instead of two topology
+// rebuilds, which is where the P3 sweep spends its time on large
+// instances. A canceled sweep
 // drains its workers, then returns ctx.Err() and no slice.
 func EdgesRemovable(ctx context.Context, g *graph.Graph, edges []graph.Edge, kappa, lambda, workers int) ([]bool, error) {
 	idx, err := canonicalIndices(g, edges)

@@ -482,9 +482,11 @@ func (s *Server) compute(ctx context.Context, ep endpoint, key string, p *persis
 		// missed the cache just before a concurrent flight completed and
 		// unmapped itself would otherwise re-run the whole campaign. The
 		// completing flight fills the cache before it unmaps, so this
-		// lookup closes that window.
+		// lookup closes that window. Such a request rode on the flight
+		// that just completed, so it counts as coalesced onto it.
 		if v, ok := s.cache.Get(key); ok {
 			adopted.Store(true)
+			mCoalesced.Inc()
 			return v, nil
 		}
 		if s.timeout > 0 {

@@ -474,8 +474,9 @@ func TestClientDisconnectCancelsCampaign(t *testing.T) {
 	ts := newTestServer(t, Options{CacheSize: 16})
 	ctx, cancel := context.WithCancel(context.Background())
 	// The instance must outlive the 50ms head start below even on the
-	// arena-era probe sweeps (n=400 now verifies in milliseconds).
-	body := `{"constraint":"kdiamond","n":4096,"k":6}`
+	// source-set probe sweeps (n=4096 now verifies in ~35ms on 2 vCPUs,
+	// n=16384 in ~0.4s).
+	body := `{"constraint":"kdiamond","n":16384,"k":6}`
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
 		ts.URL+"/v1/verify", bytes.NewBufferString(body))
 	if err != nil {
