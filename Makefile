@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt test race loc bench bench-verify bench-sparsify bench-reconfigure bench-flood clean
+.PHONY: all build vet fmt test race loc bench bench-verify bench-reconfigure bench-flood clean
 
 all: build vet fmt test
 
@@ -41,16 +41,16 @@ define bench2json
 			printf "  \"benchmarks\": [" \
 		} \
 		/^Benchmark/ { \
-			name=$$1; sub(/-[0-9]+$$/, "", name); ns=""; allocs=""; frames=""; prescreen=""; confirm=""; \
+			name=$$1; sub(/-[0-9]+$$/, "", name); ns=""; allocs=""; frames=""; kappa=""; lambda=""; \
 			for (i=2; i<=NF; i++) { \
 				if ($$i == "ns/op") ns=$$(i-1); \
 				if ($$i == "allocs/op") allocs=$$(i-1); \
 				if ($$i == "frames/op") frames=$$(i-1); \
-				if ($$i == "prescreen_ms/op") prescreen=$$(i-1); \
-				if ($$i == "confirm_ms/op") confirm=$$(i-1); \
+				if ($$i == "kappa_ms/op") kappa=$$(i-1); \
+				if ($$i == "lambda_ms/op") lambda=$$(i-1); \
 			} \
 			if (ns != "") { \
-				printf "%s\n    {\"name\": \"%s\", \"ns_per_op\": %s, \"allocs_per_op\": %s, \"frames_per_op\": %s, \"prescreen_ms_per_op\": %s, \"confirm_ms_per_op\": %s}", sep, name, ns, (allocs == "" ? "null" : allocs), (frames == "" ? "null" : frames), (prescreen == "" ? "null" : prescreen), (confirm == "" ? "null" : confirm); \
+				printf "%s\n    {\"name\": \"%s\", \"ns_per_op\": %s, \"allocs_per_op\": %s, \"frames_per_op\": %s, \"kappa_ms_per_op\": %s, \"lambda_ms_per_op\": %s}", sep, name, ns, (allocs == "" ? "null" : allocs), (frames == "" ? "null" : frames), (kappa == "" ? "null" : kappa), (lambda == "" ? "null" : lambda); \
 				sep=","; \
 			} \
 		} \
@@ -58,37 +58,28 @@ define bench2json
 endef
 
 # bench runs the perf-trajectory series (exact verification and flooding at
-# n in {256, 1024, 4096}, the certified scale screen of a k-regular K-TREE
-# at the grid point nearest n = 10^6 with its prescreen/confirm phase split,
-# the P4 all-sources distance sweep on K-TREE(4096,3) and K-DIAMOND(4096,4)
-# serial and with two workers, the steady-state 0-alloc probes (BFS, the
-# degree-shortcut edge probe and the two-flow edge probe), and the
-# metrics-enabled twins of the first two) into BENCH_verify.json, then the dense-fixture
-# full-vs-sparsified verification pair into BENCH_sparsify.json (the
-# artifact that tracks the sparse-certificate fast-path speedup), then the
-# churn-oscillation delta-vs-full re-verification pair into
-# BENCH_reconfigure.json, which tracks the incremental re-verification
-# speedup under ~1% membership churn, and finally the E29 guarded-vs-
-# unguarded lossy-broadcast pair into BENCH_flood.json, which tracks the
-# message cost of storm control (frames_per_op against the static ceiling).
-# Each ledger also has its own target (bench-verify, bench-sparsify,
-# bench-reconfigure, bench-flood).
-bench: bench-verify bench-sparsify bench-reconfigure bench-flood
+# n in {256, 1024, 4096}, exact verification of the dense core-periphery
+# graph, the scale screen of a k-regular K-TREE at the grid point nearest
+# n = 10^6 with its kappa/lambda phase split, the P4 all-sources distance
+# sweep on K-TREE(4096,3) and K-DIAMOND(4096,4) serial and with two
+# workers, the steady-state 0-alloc probes (BFS, the degree-shortcut edge
+# probe and the two-flow edge probe), and the metrics-enabled twins of the
+# first two) into BENCH_verify.json, then the churn-oscillation
+# delta-vs-full re-verification pair into BENCH_reconfigure.json, which
+# tracks the incremental re-verification speedup under ~1% membership
+# churn, and finally the E29 guarded-vs-unguarded lossy-broadcast pair into
+# BENCH_flood.json, which tracks the message cost of storm control
+# (frames_per_op against the static ceiling). Each ledger also has its own
+# target (bench-verify, bench-reconfigure, bench-flood).
+bench: bench-verify bench-reconfigure bench-flood
 
 bench-verify:
 	$(GO) test -run '^$$' \
-		-bench '^(BenchmarkVerifySweep|BenchmarkVerifyMillionScreen|BenchmarkDistanceStats|BenchmarkFlood|BenchmarkBFSSteadyState|BenchmarkEdgeProbeSteadyState|BenchmarkEdgeProbeFlow|BenchmarkBFSSteadyStateMetricsOn|BenchmarkEdgeProbeSteadyStateMetricsOn)$$' \
+		-bench '^(BenchmarkVerifySweep|BenchmarkVerifyDense|BenchmarkVerifyMillionScreen|BenchmarkDistanceStats|BenchmarkFlood|BenchmarkBFSSteadyState|BenchmarkEdgeProbeSteadyState|BenchmarkEdgeProbeFlow|BenchmarkBFSSteadyStateMetricsOn|BenchmarkEdgeProbeSteadyStateMetricsOn)$$' \
 		-benchmem -benchtime=1x . | tee bench.out
 	@$(bench2json) bench.out > BENCH_verify.json
 	@rm -f bench.out
 	@echo "wrote BENCH_verify.json"
-
-bench-sparsify:
-	$(GO) test -run '^$$' -bench '^BenchmarkVerifyDense$$' \
-		-benchmem -benchtime=3x . | tee bench_sparsify.out
-	@$(bench2json) bench_sparsify.out > BENCH_sparsify.json
-	@rm -f bench_sparsify.out
-	@echo "wrote BENCH_sparsify.json"
 
 bench-reconfigure:
 	$(GO) test -run '^$$' -bench '^BenchmarkReconfigureVerify(Delta|Full)$$' \
@@ -105,5 +96,5 @@ bench-flood:
 	@echo "wrote BENCH_flood.json"
 
 clean:
-	rm -f bench.out bench_sparsify.out bench_reconfigure.out bench_flood.out \
-		BENCH_verify.json BENCH_sparsify.json BENCH_reconfigure.json BENCH_flood.json
+	rm -f bench.out bench_reconfigure.out bench_flood.out \
+		BENCH_verify.json BENCH_reconfigure.json BENCH_flood.json

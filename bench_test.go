@@ -185,13 +185,12 @@ func BenchmarkDistanceStats(b *testing.B) {
 }
 
 // BenchmarkVerifyMillionScreen is the scale-tier series emitted into
-// BENCH_verify.json by `make bench`: the certified screen (exact linear
-// checks + seeded Karger candidate cuts + sampled exact max-flow probes) over
-// a k-regular K-TREE instance at the construction grid point nearest 10^6
-// nodes. The per-phase split is reported as extra metrics: prescreen_ms is
-// the Monte Carlo contraction pass, confirm_ms the exact flow probes. The
-// screen must come back clean — refuting a valid K-TREE would be a bug,
-// not a slow run.
+// BENCH_verify.json by `make bench`: the screen (linear checks, then the
+// exact κ and λ sweeps Verify runs) over a k-regular K-TREE instance at the
+// construction grid point nearest 10^6 nodes. The per-phase split is
+// reported as extra metrics: kappa_ms and lambda_ms are the two sweeps.
+// The screen must confirm κ = λ = k — anything else on a valid K-TREE
+// would be a bug, not a slow run.
 func BenchmarkVerifyMillionScreen(b *testing.B) {
 	const k = 3
 	n := 1_000_002 // K-TREE k=3 grid: n ≡ 2 (mod 4)
@@ -201,38 +200,35 @@ func BenchmarkVerifyMillionScreen(b *testing.B) {
 	g := buildOrFatal(b, lhg.KTree, n, k)
 	b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 		b.ReportAllocs()
-		var prescreenMs, confirmMs float64
+		var kappaMs, lambdaMs float64
 		for i := 0; i < b.N; i++ {
-			r, err := lhg.Screen(context.Background(), g, k, lhg.ScreenOptions{})
+			r, err := lhg.Screen(context.Background(), g, k)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if !r.OK() || !r.Regular || !r.Connected {
-				b.Fatalf("screen refuted a valid K-TREE: %s", r)
+			if !r.OK() || !r.Regular || !r.Connected ||
+				r.NodeConnectivity != k || r.EdgeConnectivity != k {
+				b.Fatalf("screen of a valid K-TREE: %s", r)
 			}
 			for _, p := range r.Phases {
 				switch p.Phase {
-				case "prescreen":
-					prescreenMs += p.Ms
-				case "confirm":
-					confirmMs += p.Ms
+				case "kappa":
+					kappaMs += p.Ms
+				case "lambda":
+					lambdaMs += p.Ms
 				}
 			}
 			sinkBool = r.OK()
 		}
-		b.ReportMetric(prescreenMs/float64(b.N), "prescreen_ms/op")
-		b.ReportMetric(confirmMs/float64(b.N), "confirm_ms/op")
+		b.ReportMetric(kappaMs/float64(b.N), "kappa_ms/op")
+		b.ReportMetric(lambdaMs/float64(b.N), "lambda_ms/op")
 	})
 }
 
-// BenchmarkVerifyDense is the sparse-certificate headline series emitted
-// into BENCH_sparsify.json by `make bench`: P1/P2/P4 verification of a
-// dense core–periphery graph — Harary H(4,512) for δ = κ = λ = 4, plus a
-// clique on the first 192 nodes for m ≈ 19k ≫ k·n — with the fast path
-// off ("full", check.SparsifyOff) and on ("sparsified", the default
-// check.SparsifyAuto). Reports are bit-identical; only the
-// κ/λ probe substrate differs (~19k edges vs the ≤ (δ+1)(n−1) ≈ 2.5k of
-// the Nagamochi–Ibaraki certificate).
+// BenchmarkVerifyDense is P1/P2/P4 verification of a dense core–periphery
+// graph — Harary H(4,512) for δ = κ = λ = 4, plus a clique on the first
+// 192 nodes for m ≈ 19k ≫ k·n — the shape on which dense inputs stress
+// the κ/λ sweeps. It is one row of BENCH_verify.json.
 func BenchmarkVerifyDense(b *testing.B) {
 	const n, k, core = 512, 4, 192
 	bb := buildOrFatal(b, lhg.Harary, n, k).Thaw()
@@ -245,27 +241,17 @@ func BenchmarkVerifyDense(b *testing.B) {
 	}
 	g := bb.Freeze()
 	props := check.PropNodeConnectivity | check.PropLinkConnectivity | check.PropDiameter
-	for _, tc := range []struct {
-		name     string
-		sparsify check.Sparsify
-	}{
-		{"full", check.SparsifyOff},
-		{"sparsified", check.SparsifyAuto},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				r, err := check.Verify(context.Background(), g, k,
-					check.Options{Props: props, Sparsify: tc.sparsify})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if r.NodeConnectivity != k || r.EdgeConnectivity != k {
-					b.Fatalf("κ=%d λ=%d, want %d", r.NodeConnectivity, r.EdgeConnectivity, k)
-				}
-				sinkBool = r.IsLHG()
-			}
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, err := check.Verify(context.Background(), g, k, check.Options{Props: props})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if r.NodeConnectivity != k || r.EdgeConnectivity != k {
+			b.Fatalf("κ=%d λ=%d, want %d", r.NodeConnectivity, r.EdgeConnectivity, k)
+		}
+		sinkBool = r.IsLHG()
 	}
 }
 
@@ -450,6 +436,27 @@ func TestSteadyStateProbesAllocFree(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(50, func() { sinkBool = flow.EdgeIsRemovable(cg, chord, 4, 4) }); avg != 0 {
 		t.Fatalf("steady-state two-flow edge probe allocates %.1f times per run, want 0", avg)
+	}
+}
+
+// TestDominatingSetAllocatesOnce pins the allocation count of the λ
+// sweep's probe plan: once the scratch pool is warm, the greedy
+// dominating set of K-DIAMOND(4096,4) allocates only its exact-size
+// result.
+func TestDominatingSetAllocatesOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation defeats sync.Pool reuse; alloc counts are meaningless")
+	}
+	g, err := lhg.Build(context.Background(), lhg.KDiamond, 4096, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := g.DominatingSet() // warm the scratch pool
+	if len(set) != cap(set) {
+		t.Fatalf("result has len %d but cap %d, want an exact-size slice", len(set), cap(set))
+	}
+	if avg := testing.AllocsPerRun(20, func() { set = g.DominatingSet() }); avg != 1 {
+		t.Fatalf("DominatingSet allocates %.1f times per run, want 1", avg)
 	}
 }
 

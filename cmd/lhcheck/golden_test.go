@@ -13,10 +13,11 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files with the current output")
 
-// denseJSON renders the stdin fixture that actually exercises the
-// sparsify fast path: a 64-node circulant (±1, ±2 ring, so δ = 4) plus a
-// clique on the first 32 nodes, pushing m past the SparsifyCutoff·k·n
-// threshold while keeping κ = λ = 4.
+// denseJSON renders the dense stdin fixture: a 64-node circulant (±1, ±2
+// ring, so δ = 4) plus a clique on the first 32 nodes, pushing m past
+// SparsifyCutoff·k·n while keeping κ = λ = 4. Its golden output predates
+// the removal of the sparse-certificate path that such inputs once took,
+// so it pins that the κ/λ sweeps on the full graph report the same.
 func denseJSON() string {
 	const n, core = 64, 32
 	seen := map[[2]int]bool{}

@@ -10,9 +10,13 @@
 //	                             it characterizes edge-minimal LHGs)
 //
 // P1 and P2 are checked exactly via max-flow (Menger's theorem), not by
-// sampling. P4 is checked against the bound the constructions guarantee,
-// diameter <= 2*log_{k-1}(n) + DiameterSlack, and the raw values are
-// reported so callers can apply their own bound.
+// sampling, and always on g itself: Verify, Screen and the delta
+// verifier's fallback share one κ/λ path (flow.VertexConnectivity and
+// flow.EdgeConnectivity). P4 is checked against the bound the
+// constructions guarantee, diameter <= 2*log_{k-1}(n) + DiameterSlack, and
+// the raw values are reported so callers can apply their own bound. Only
+// Screen, which skips P3 and the all-sources distance sweep, answers P4
+// from ecc(0) with a three-valued verdict.
 package check
 
 import (
@@ -39,59 +43,15 @@ var (
 	tPhaseLambda     = obs.NewTimer("check.phase.lambda")
 	tPhaseMinimality = obs.NewTimer("check.phase.minimality")
 	tPhaseDistances  = obs.NewTimer("check.phase.distances")
-	tPhaseSparsify   = obs.NewTimer("check.phase.sparsify")
 	tPhaseRestricted = obs.NewTimer("check.phase.restricted")
 	mFlowProbes      = obs.NewCounter("flow.maxflow.probes")
-
-	mSparsifyPasses  = obs.NewCounter("check.sparsify.passes")
-	mSparsifyKept    = obs.NewCounter("check.sparsify.edges_kept")
-	mSparsifyDropped = obs.NewCounter("check.sparsify.edges_dropped")
 )
 
-// SparsifyCutoff is the density threshold of the automatic sparsify fast
-// path: the κ/λ probe phases switch from the full edge set to the
-// Nagamochi–Ibaraki certificate when m > SparsifyCutoff·k·n. Below the
-// cutoff the certificate cannot drop enough edges to pay for its own
-// construction, so sparse graphs — every well-formed LHG — keep the
-// historical probe-everything path.
+// SparsifyCutoff defines a dense graph: m > SparsifyCutoff·k·n.
+// Verification does not branch on it (the κ and λ sweeps run on g itself
+// at every density); benchmark and test inputs that must be dense are
+// sized against it.
 const SparsifyCutoff = 2
-
-// sparseProbeView resolves the graph the κ/λ connectivity probes run on
-// under the given policy: g itself when the policy or the density gate
-// (m > SparsifyCutoff·k·n) rules the certificate out, otherwise a
-// Nagamochi–Ibaraki certificate built inside its own "sparsify" phase.
-//
-// The certificate is built for q = δ(G)+1, one past the minimum degree.
-// Since κ(G) <= λ(G) <= δ(G) < q (Whitney), the Nagamochi–Ibaraki bounds
-// pin both connectivity values of the certificate to the exact values of
-// G — not just the "≥ k" verdicts — so every field of the Report is
-// bit-identical with and without sparsification. Under SparsifyAuto a
-// certificate that would shed no edge (dense-regular graphs, where δ ≈
-// 2m/n keeps every edge in the first δ forests) is dropped for g. P3
-// minimality and P4 distance probes must NOT use the view: removing edges
-// changes distances and per-edge removability, so those phases always run
-// on g itself.
-func sparseProbeView(ph phaseRunner, g *graph.Graph, k int, policy Sparsify) (*graph.Graph, error) {
-	n, m := g.Order(), g.Size()
-	if policy == SparsifyOff || n < 2 || m == 0 ||
-		(policy != SparsifyAlways && m <= SparsifyCutoff*k*n) {
-		return g, nil
-	}
-	view := g
-	err := ph.run("sparsify", tPhaseSparsify, func(context.Context) error {
-		minDeg, _ := g.MinDegree()
-		cert := graph.SparseCertificate(g, minDeg+1)
-		if cert.Size() >= m && policy != SparsifyAlways {
-			return nil
-		}
-		mSparsifyPasses.Inc()
-		mSparsifyKept.Add(int64(cert.Size()))
-		mSparsifyDropped.Add(int64(m - cert.Size()))
-		view = cert
-		return nil
-	})
-	return view, err
-}
 
 // DiameterSlack is the additive slack allowed on top of 2*log_{k-1}(n) when
 // evaluating P4. The constructions in this repository satisfy the bound with
@@ -263,35 +223,12 @@ func Verify(ctx context.Context, g *graph.Graph, k int, opt Options) (*Report, e
 
 	ph := phaseRunner{ctx: ctx, spanPrefix: "check.", phases: &r.Phases}
 
-	// The κ/λ probes may run on a sparse certificate instead of g (see
-	// sparseProbeView — the q = δ+1 choice keeps the exact values, not
-	// just the verdicts, identical). P3 and P4 below always use g itself.
-	probeView := g
-	if props&(PropNodeConnectivity|PropLinkConnectivity) != 0 {
-		var err error
-		if probeView, err = sparseProbeView(ph, g, k, opt.Sparsify); err != nil {
-			return nil, err
-		}
+	var err error
+	if r.NodeConnectivity, r.EdgeConnectivity, err = ph.connectivity(g, workers, props); err != nil {
+		return nil, err
 	}
-
-	if props.Has(PropNodeConnectivity) {
-		if err := ph.run("kappa", tPhaseKappa, func(pctx context.Context) (err error) {
-			r.NodeConnectivity, err = flow.VertexConnectivity(pctx, probeView, workers)
-			return err
-		}); err != nil {
-			return nil, err
-		}
-		r.KNodeConnected = r.NodeConnectivity >= k
-	}
-	if props.Has(PropLinkConnectivity) {
-		if err := ph.run("lambda", tPhaseLambda, func(pctx context.Context) (err error) {
-			r.EdgeConnectivity, err = flow.EdgeConnectivity(pctx, probeView, workers)
-			return err
-		}); err != nil {
-			return nil, err
-		}
-		r.KLinkConnected = r.EdgeConnectivity >= k
-	}
+	r.KNodeConnected = props.Has(PropNodeConnectivity) && r.NodeConnectivity >= k
+	r.KLinkConnected = props.Has(PropLinkConnectivity) && r.EdgeConnectivity >= k
 
 	if props.Has(PropRestrictedEdge) {
 		if err := ph.run("restricted", tPhaseRestricted, func(pctx context.Context) (err error) {
@@ -308,26 +245,58 @@ func Verify(ctx context.Context, g *graph.Graph, k int, opt Options) (*Report, e
 		}
 	}
 
+	if err := ph.minimalityAndDistances(g, r, props, workers); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// connectivity runs the exact κ and λ sweeps selected in props on g, as
+// the "kappa" and "lambda" phases. It is the one κ/λ path: Verify and
+// Screen both call it, and a property that props leaves out reads 0.
+func (ph phaseRunner) connectivity(g *graph.Graph, workers int, props Properties) (kappa, lambda int, err error) {
+	if props.Has(PropNodeConnectivity) {
+		if err := ph.run("kappa", tPhaseKappa, func(pctx context.Context) (err error) {
+			kappa, err = flow.VertexConnectivity(pctx, g, workers)
+			return err
+		}); err != nil {
+			return 0, 0, err
+		}
+	}
+	if props.Has(PropLinkConnectivity) {
+		if err := ph.run("lambda", tPhaseLambda, func(pctx context.Context) (err error) {
+			lambda, err = flow.EdgeConnectivity(pctx, g, workers)
+			return err
+		}); err != nil {
+			return 0, 0, err
+		}
+	}
+	return kappa, lambda, nil
+}
+
+// minimalityAndDistances runs the P3 and P4 phases selected in props on g
+// once r holds κ and λ. Verify and the delta fast path share it, so both
+// report the same P3 witness and the same distances by construction.
+func (ph phaseRunner) minimalityAndDistances(g *graph.Graph, r *Report, props Properties, workers int) error {
 	if props.Has(PropLinkMinimality) {
 		if err := ph.run("minimality", tPhaseMinimality, func(pctx context.Context) (err error) {
 			r.LinkMinimal, err = verifyLinkMinimality(pctx, g, r, workers)
 			return err
 		}); err != nil {
-			return nil, err
+			return err
 		}
 	}
-
 	if props.Has(PropDiameter) {
 		if err := ph.run("distances", tPhaseDistances, func(pctx context.Context) (err error) {
 			r.Diameter, r.AvgPathLen, err = g.DistanceStatsCtx(pctx, workers)
 			return err
 		}); err != nil {
-			return nil, err
+			return err
 		}
-		r.DiameterBound = DiameterBound(n, k)
+		r.DiameterBound = DiameterBound(r.N, r.K)
 		r.LogDiameter = r.Diameter >= 0 && r.Diameter <= r.DiameterBound
 	}
-	return r, nil
+	return nil
 }
 
 // DiameterBound returns the P4 acceptance bound 2*ceil(log_{k-1}(n)) +

@@ -54,7 +54,6 @@ package check
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"lhg/internal/flow"
 	"lhg/internal/graph"
@@ -199,42 +198,30 @@ func deltaFastPath(ctx context.Context, prevG *graph.Graph, prev *Report, d grap
 
 	// Probe phase: every planned pair must keep vertex- and edge-cut >= c
 	// in next. Early-exit flows; any miss aborts to the full campaign.
+	ph := phaseRunner{ctx: ctx, spanPrefix: "check.", phases: &r.Phases}
 	healthy := true
-	start := time.Now()
-	p0 := mFlowProbes.Value()
-	for _, p := range pairs {
-		if err := ctx.Err(); err != nil {
-			return nil, false, err
-		}
-		mDeltaPairs.Inc()
-		if !next.HasEdge(p[0], p[1]) {
-			ok, err := flow.VertexCutAtLeast(ctx, next, p[0], p[1], c)
-			if err != nil {
-				return nil, false, err
+	if err := ph.run("delta-probes", tPhaseDelta, func(pctx context.Context) error {
+		for _, p := range pairs {
+			if err := pctx.Err(); err != nil {
+				return err
 			}
-			if !ok {
+			mDeltaPairs.Inc()
+			if !next.HasEdge(p[0], p[1]) {
+				ok, err := flow.VertexCutAtLeast(pctx, next, p[0], p[1], c)
+				if err != nil || !ok {
+					healthy = false
+					return err
+				}
+			}
+			ok, err := flow.EdgeCutAtLeast(pctx, next, p[0], p[1], c)
+			if err != nil || !ok {
 				healthy = false
-				break
+				return err
 			}
 		}
-		ok, err := flow.EdgeCutAtLeast(ctx, next, p[0], p[1], c)
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			healthy = false
-			break
-		}
-	}
-	dur := time.Since(start)
-	tPhaseDelta.Observe(dur)
-	r.Phases = append(r.Phases, PhaseTiming{
-		Phase:  "delta-probes",
-		Ms:     float64(dur) / 1e6,
-		Probes: mFlowProbes.Value() - p0,
-	})
-	if !healthy {
-		return nil, false, nil
+		return nil
+	}); err != nil || !healthy {
+		return nil, false, err
 	}
 
 	// Pin: c <= κ(G′) (localization + expansion) and κ(G′) <= δ(G′) = c
@@ -245,34 +232,12 @@ func deltaFastPath(ctx context.Context, prevG *graph.Graph, prev *Report, d grap
 	r.KNodeConnected = c >= k
 	r.KLinkConnected = c >= k
 
-	// P3 and P4 use the exact same code as the full campaign, so the
+	// P3 and P4 run through the same phases as the full campaign, so the
 	// values (and the P3 witness edge, if any) are identical by
 	// construction.
-	start = time.Now()
-	p0 = mFlowProbes.Value()
-	lm, err := verifyLinkMinimality(ctx, next, r, workers)
-	if err != nil {
+	if err := ph.minimalityAndDistances(next, r, props, workers); err != nil {
 		return nil, false, err
 	}
-	r.LinkMinimal = lm
-	dur = time.Since(start)
-	tPhaseMinimality.Observe(dur)
-	r.Phases = append(r.Phases, PhaseTiming{
-		Phase:  "minimality",
-		Ms:     float64(dur) / 1e6,
-		Probes: mFlowProbes.Value() - p0,
-	})
-
-	start = time.Now()
-	r.Diameter, r.AvgPathLen, err = next.DistanceStatsCtx(ctx, workers)
-	if err != nil {
-		return nil, false, err
-	}
-	dur = time.Since(start)
-	tPhaseDistances.Observe(dur)
-	r.Phases = append(r.Phases, PhaseTiming{Phase: "distances", Ms: float64(dur) / 1e6})
-	r.DiameterBound = DiameterBound(n, k)
-	r.LogDiameter = r.Diameter >= 0 && r.Diameter <= r.DiameterBound
 	return r, true, nil
 }
 

@@ -13,9 +13,8 @@ import (
 // Independent ground truth for κ and λ on small graphs, sharing no code
 // with either verification pipeline: κ by exhaustive vertex-subset
 // removal over an adjacency matrix, λ by a Stoer–Wagner global min-cut
-// (maximum-adjacency search with contraction — no max-flow, no
-// certificate). Both pipelines — full and sparsified, serial and
-// parallel — are asserted against these oracles.
+// (maximum-adjacency search with contraction — no max-flow). Verify,
+// serial and parallel, and Screen are asserted against these oracles.
 
 // oracleConnected reports connectivity of the matrix graph with the
 // vertices in mask removed.
@@ -152,12 +151,7 @@ func TestVerifyAgainstOracles(t *testing.T) {
 		if !g.Connected() {
 			wantLambda = 0 // λ is 0 by definition when disconnected
 		}
-		for _, opt := range []Options{
-			{Workers: 1, Sparsify: SparsifyOff},
-			{Workers: 1, Sparsify: SparsifyAlways},
-			{Workers: 4, Sparsify: SparsifyOff},
-			{Workers: 4, Sparsify: SparsifyAlways},
-		} {
+		for _, opt := range []Options{{Workers: 1}, {Workers: 2}, {Workers: 3}, {Workers: 4}} {
 			r, err := Verify(ctx, g, 1, opt)
 			if err != nil {
 				t.Fatal(err)
@@ -170,6 +164,14 @@ func TestVerifyAgainstOracles(t *testing.T) {
 				t.Fatalf("seed=%d n=%d p=%d %+v: λ=%d, oracle %d",
 					seed, n, percent, opt, r.EdgeConnectivity, wantLambda)
 			}
+		}
+		sr, err := Screen(ctx, g, 1, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sr.NodeConnectivity != wantKappa || sr.EdgeConnectivity != wantLambda {
+			t.Fatalf("seed=%d n=%d p=%d: Screen κ=%d λ=%d, oracle %d %d",
+				seed, n, percent, sr.NodeConnectivity, sr.EdgeConnectivity, wantKappa, wantLambda)
 		}
 	}
 }

@@ -85,50 +85,14 @@ func (p Properties) String() string {
 	return strings.Join(parts, "|")
 }
 
-// Sparsify selects the sparse-certificate policy for the κ/λ probe phases
-// (see sparseProbeView). The zero value is the automatic fast path, so the
-// zero Options keeps sparsification on by default.
-type Sparsify uint8
-
-const (
-	// SparsifyAuto probes a Nagamochi–Ibaraki certificate instead of the
-	// full edge set whenever the graph is dense enough for the certificate
-	// to pay for itself (m > SparsifyCutoff·k·n and the certificate is
-	// strictly smaller than the graph). This is the default.
-	SparsifyAuto Sparsify = iota
-	// SparsifyOff always probes the full edge set — the reference side of
-	// the differential tests and of the full-vs-sparsified benchmark.
-	SparsifyOff
-	// SparsifyAlways probes the certificate regardless of density. Meant
-	// for tests that must exercise the sparsified path on small inputs;
-	// production callers should stay on SparsifyAuto.
-	SparsifyAlways
-)
-
-func (s Sparsify) String() string {
-	switch s {
-	case SparsifyAuto:
-		return "auto"
-	case SparsifyOff:
-		return "off"
-	case SparsifyAlways:
-		return "always"
-	}
-	return "sparsify(?)"
-}
-
 // Options configures a verification run. The zero value — all properties,
-// GOMAXPROCS workers, automatic sparsification — is the right default for
-// interactive and service use; set Workers to 1 for the deterministic-serial
-// path (the report is bit-identical either way).
+// GOMAXPROCS workers — is the right default for interactive and service
+// use; set Workers to 1 for the deterministic-serial path (the report is
+// bit-identical either way).
 type Options struct {
 	// Workers is the goroutine budget for the probe fan-out; <= 0 means
 	// GOMAXPROCS, 1 runs serially.
 	Workers int
 	// Props selects the properties to compute; zero means PropAll.
 	Props Properties
-	// Sparsify selects the sparse-certificate policy for the κ/λ probes.
-	// The zero value (SparsifyAuto) enables the fast path on dense graphs;
-	// it never changes any reported value or verdict.
-	Sparsify Sparsify
 }

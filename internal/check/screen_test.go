@@ -9,10 +9,9 @@ import (
 	"lhg/internal/graph"
 )
 
-// The scale screen's contract: ScreenRefuted always carries an exact
-// witness, ScreenConfirmed only appears when a sufficient exact check ran
-// (k ≤ 2 connectivity, cutpoints, 2·ecc within the diameter bound), and
-// everything else stays ScreenScreened — honest "no counterexample found".
+// The scale screen's contract: κ and λ are exact, so P1 and P2 are always
+// confirmed or refuted; only P4 may stay ScreenScreened, and P4 is
+// refuted or confirmed only on an exact eccentricity witness.
 
 func screenPath(n int) *graph.Graph {
 	b := graph.NewBuilder(n)
@@ -30,6 +29,61 @@ func screenCycle(n int) *graph.Graph {
 	return b.Freeze()
 }
 
+// barbell is two K6 cliques joined by two edges (0–6 and 1–7): δ = 5 but
+// κ = λ = 2 — the star bound is badly loose and the true cut splits the
+// graph in half.
+func barbell(t *testing.T) *graph.Graph {
+	t.Helper()
+	b := graph.NewBuilder(12)
+	for _, off := range []int{0, 6} {
+		for u := 0; u < 6; u++ {
+			for v := u + 1; v < 6; v++ {
+				b.MustAddEdge(off+u, off+v)
+			}
+		}
+	}
+	b.MustAddEdge(0, 6)
+	b.MustAddEdge(1, 7)
+	return b.Freeze()
+}
+
+// plantedJoin is two copies of K-TREE(m,4) joined by three disjoint edges.
+// By Menger, κ = λ = 3 however the code computes them: the three edges are
+// an edge cut and their left endpoints a vertex cut, while removing any
+// two nodes leaves both 4-connected halves connected and spares at least
+// one join edge with both its endpoints. δ = 4, so this is the λ < δ shape
+// a star cut cannot see.
+func plantedJoin(t *testing.T, m int) *graph.Graph {
+	t.Helper()
+	kt, err := core.BuildKTree(m, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := graph.NewBuilder(2 * m)
+	for _, off := range []int{0, m} {
+		for _, e := range kt.Real.Graph.Edges() {
+			b.MustAddEdge(off+e.U, off+e.V)
+		}
+	}
+	for _, j := range [][2]int{{0, m / 2}, {m / 3, 1}, {2 * m / 3, m - 1}} {
+		b.MustAddEdge(j[0], m+j[1])
+	}
+	return b.Freeze()
+}
+
+// wantScreen fails t unless r carries exactly κ and λ with the matching
+// P1/P2 verdicts at r.K.
+func wantScreen(t *testing.T, name string, r *ScreenReport, kappa, lambda int) {
+	t.Helper()
+	if r.NodeConnectivity != kappa || r.EdgeConnectivity != lambda {
+		t.Fatalf("%s: κ=%d λ=%d, want %d %d", name, r.NodeConnectivity, r.EdgeConnectivity, kappa, lambda)
+	}
+	if r.NodeConn != verdict(kappa >= r.K) || r.LinkConn != verdict(lambda >= r.K) {
+		t.Fatalf("%s at k=%d: P1/P2 %s/%s, want %s/%s", name, r.K, r.NodeConn, r.LinkConn,
+			verdict(kappa >= r.K), verdict(lambda >= r.K))
+	}
+}
+
 func TestScreenValidInstanceScreens(t *testing.T) {
 	// A true LHG fixture: plain Harary graphs have linear diameter and the
 	// screen rightly refutes their P4, so use a k-regular K-TREE instance.
@@ -38,7 +92,7 @@ func TestScreenValidInstanceScreens(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := gr.Graph()
-	r, err := Screen(context.Background(), g, 3, ScreenOptions{})
+	r, err := Screen(context.Background(), g, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,18 +102,8 @@ func TestScreenValidInstanceScreens(t *testing.T) {
 	if !r.Regular || !r.Connected {
 		t.Fatalf("linear facts wrong on K-TREE k=3 n=%d: %+v", g.Order(), r)
 	}
-	// k = 3 > 2: no sufficient exact check exists, so passing verdicts
-	// must be screened, never confirmed.
-	if r.NodeConn != ScreenScreened || r.LinkConn != ScreenScreened {
-		t.Fatalf("κ/λ verdicts %s/%s, want screened/screened", r.NodeConn, r.LinkConn)
-	}
-	if r.CutUpper != 3 {
-		t.Fatalf("certified cut upper %d, want δ = 3 (λ = δ on K-TREE)", r.CutUpper)
-	}
-	if r.PairProbes == 0 {
-		t.Fatal("confirm phase ran no pair probes")
-	}
-	want := []string{"linear", "prescreen", "confirm"}
+	wantScreen(t, "K-TREE(66,3)", r, 3, 3)
+	want := []string{"linear", "kappa", "lambda"}
 	var got []string
 	for _, p := range r.Phases {
 		got = append(got, p.Phase)
@@ -70,102 +114,91 @@ func TestScreenValidInstanceScreens(t *testing.T) {
 }
 
 func TestScreenExactVerdictsSmallK(t *testing.T) {
-	// k == 1 on a connected graph: one BFS is a sufficient exact check.
-	if r, err := Screen(context.Background(), screenPath(8), 1, ScreenOptions{}); err != nil {
-		t.Fatal(err)
-	} else if r.NodeConn != ScreenConfirmed || r.LinkConn != ScreenConfirmed {
-		t.Fatalf("path at k=1: %s/%s, want confirmed/confirmed", r.NodeConn, r.LinkConn)
-	}
-
-	// k == 2 on a cycle: the cutpoint DFS confirms 2-connectivity exactly.
-	if r, err := Screen(context.Background(), screenCycle(12), 2, ScreenOptions{}); err != nil {
-		t.Fatal(err)
-	} else if r.NodeConn != ScreenConfirmed || r.LinkConn != ScreenConfirmed {
-		t.Fatalf("cycle at k=2: %s/%s, want confirmed/confirmed", r.NodeConn, r.LinkConn)
-	}
-
-	// k == 2 on a path: articulation points and bridges refute exactly.
-	r, err := Screen(context.Background(), screenPath(8), 2, ScreenOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.NodeConn != ScreenRefuted || r.LinkConn != ScreenRefuted {
-		t.Fatalf("path at k=2: %s/%s, want refuted/refuted", r.NodeConn, r.LinkConn)
-	}
-	if r.OK() {
-		t.Fatal("OK() true on a refuted report")
+	for _, tc := range []struct {
+		name          string
+		g             *graph.Graph
+		k             int
+		kappa, lambda int
+	}{
+		{"path at k=1", screenPath(8), 1, 1, 1},
+		{"cycle at k=2", screenCycle(12), 2, 2, 2},
+		{"path at k=2", screenPath(8), 2, 1, 1},
+	} {
+		r, err := Screen(context.Background(), tc.g, tc.k, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantScreen(t, tc.name, r, tc.kappa, tc.lambda)
+		if r.OK() != (tc.kappa >= tc.k) {
+			t.Fatalf("%s: OK()=%t on %s", tc.name, r.OK(), r)
+		}
 	}
 }
 
 func TestScreenRefutesDisconnectedAndDegree(t *testing.T) {
-	// Disconnected: both connectivity verdicts refuted, certified cut 0.
+	// Disconnected: κ = λ = 0, and every verdict refuted.
 	b := graph.NewBuilder(8)
 	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 0}, {4, 5}, {5, 6}, {6, 4}} {
 		b.MustAddEdge(e[0], e[1])
 	}
-	r, err := Screen(context.Background(), b.Freeze(), 2, ScreenOptions{})
+	r, err := Screen(context.Background(), b.Freeze(), 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.NodeConn != ScreenRefuted || r.LinkConn != ScreenRefuted || r.Diameter != ScreenRefuted {
-		t.Fatalf("disconnected: %s/%s/%s, want all refuted", r.NodeConn, r.LinkConn, r.Diameter)
-	}
-	if r.CutUpper != 0 {
-		t.Fatalf("disconnected: certified cut upper %d, want 0", r.CutUpper)
+	wantScreen(t, "disconnected", r, 0, 0)
+	if r.Diameter != ScreenRefuted {
+		t.Fatalf("disconnected: P4 %s, want refuted", r.Diameter)
 	}
 
-	// δ < k refutes both by the degree witness without any probe.
-	if r, err := Screen(context.Background(), screenCycle(10), 3, ScreenOptions{}); err != nil {
+	// δ < k: κ = λ = δ = 2 refutes both.
+	r, err = Screen(context.Background(), screenCycle(10), 3, 1)
+	if err != nil {
 		t.Fatal(err)
-	} else if r.NodeConn != ScreenRefuted || r.LinkConn != ScreenRefuted {
-		t.Fatalf("cycle at k=3: %s/%s, want refuted/refuted (δ = 2)", r.NodeConn, r.LinkConn)
 	}
+	wantScreen(t, "cycle at k=3", r, 2, 2)
 }
 
-// TestScreenFindsBarbellCut pins the prescreen's reason to exist at scale:
-// a graph whose trivial degree bound δ = 5 passes k but whose true cut is
-// 2 must be refuted exactly by a certified contraction cut.
+// TestScreenFindsBarbellCut: a graph whose degree bound δ = 5 passes k but
+// whose true cut is 2 must be refuted with the exact values.
 func TestScreenFindsBarbellCut(t *testing.T) {
-	r, err := Screen(context.Background(), barbell(t), 4, ScreenOptions{})
+	r, err := Screen(context.Background(), barbell(t), 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.LinkConn != ScreenRefuted {
-		t.Fatalf("barbell at k=4: λ verdict %s, want refuted (true cut 2 < 4)", r.LinkConn)
-	}
-	if r.CutUpper >= 4 {
-		t.Fatalf("barbell: certified cut upper %d, want < 4", r.CutUpper)
-	}
+	wantScreen(t, "barbell", r, 2, 2)
 }
 
+// TestScreenDeterministic: the report, phases aside, is the same on every
+// run and for every worker count.
 func TestScreenDeterministic(t *testing.T) {
 	g := mustHarary(t, 64, 4)
-	first, err := Screen(context.Background(), g, 4, ScreenOptions{SamplePairs: 8})
+	first, err := Screen(context.Background(), g, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
-		again, err := Screen(context.Background(), g, 4, ScreenOptions{SamplePairs: 8})
+	first.Phases = nil
+	for _, workers := range []int{1, 2, 4} {
+		again, err := Screen(context.Background(), g, 4, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if again.NodeConn != first.NodeConn || again.LinkConn != first.LinkConn ||
-			again.Diameter != first.Diameter || again.CutUpper != first.CutUpper ||
-			again.PairProbes != first.PairProbes {
-			t.Fatalf("run %d diverged: %s vs %s", i, again, first)
+		again.Phases = nil
+		if !reflect.DeepEqual(again, first) {
+			t.Fatalf("workers=%d diverged: %s vs %s", workers, again, first)
 		}
 	}
+	wantScreen(t, "H(4,64)", first, 4, 4)
 }
 
 func TestScreenRejectsBadArgs(t *testing.T) {
 	g := screenCycle(6)
-	if _, err := Screen(context.Background(), g, 0, ScreenOptions{}); err == nil {
+	if _, err := Screen(context.Background(), g, 0, 1); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	if _, err := Screen(context.Background(), g, 6, ScreenOptions{}); err == nil {
+	if _, err := Screen(context.Background(), g, 6, 1); err == nil {
 		t.Fatal("k=n accepted")
 	}
-	if _, err := Screen(canceledCtx(), g, 2, ScreenOptions{}); err == nil {
+	if _, err := Screen(canceledCtx(), g, 2, 1); err == nil {
 		t.Fatal("canceled context accepted")
 	}
 }
@@ -174,4 +207,42 @@ func canceledCtx() context.Context {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	return ctx
+}
+
+// TestVerifyPlantedJoin checks that exact verification finds the planted
+// 3-cut that no star cut reveals, serially and with two workers.
+func TestVerifyPlantedJoin(t *testing.T) {
+	ctx := context.Background()
+	for _, m := range []int{64, 512} {
+		g := plantedJoin(t, m)
+		serial, err := Verify(ctx, g, 4, Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if serial.NodeConnectivity != 3 || serial.EdgeConnectivity != 3 ||
+			serial.KNodeConnected || serial.KLinkConnected {
+			t.Fatalf("m=%d: κ=%d λ=%d P1=%t P2=%t, want κ=λ=3 and P1, P2 false", m,
+				serial.NodeConnectivity, serial.EdgeConnectivity, serial.KNodeConnected, serial.KLinkConnected)
+		}
+		par, err := Verify(ctx, g, 4, Options{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := reportCore(par), reportCore(serial); got != want {
+			t.Fatalf("m=%d: two-worker report %+v differs from serial %+v", m, got, want)
+		}
+	}
+}
+
+// TestScreenPlantedJoin checks that the screen finds the planted 3-cut on
+// every run: λ = 3 exactly, κ <= 3, and P1 and P2 refuted.
+func TestScreenPlantedJoin(t *testing.T) {
+	r, err := Screen(context.Background(), plantedJoin(t, 2048), 4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.EdgeConnectivity != 3 || r.NodeConnectivity > 3 ||
+		r.LinkConn != ScreenRefuted || r.NodeConn != ScreenRefuted {
+		t.Fatalf("planted 3-cut: %s", r)
+	}
 }

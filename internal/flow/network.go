@@ -9,7 +9,9 @@
 //
 // These are the verification workhorses for the LHG properties P1 and P2:
 // a graph is k-node (k-link) connected iff its vertex (edge) connectivity
-// is at least k, by Menger's theorem.
+// is at least k, by Menger's theorem. VertexConnectivity and
+// EdgeConnectivity are the only κ/λ path: check.Verify and check.Screen
+// both call them on the input graph itself, at every density and scale.
 //
 // Networks are recycled through a small free list and rebuilt in place
 // from the frozen CSR graph view, so the steady state of a connectivity

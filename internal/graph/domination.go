@@ -9,88 +9,29 @@ package graph
 // a sub-δ minimum edge cut, so λ(G) = min(δ, min over in-set pairs)).
 //
 // Isolated nodes dominate only themselves and are always members. The empty
-// graph yields an empty set.
+// graph yields an empty set. The scan runs on pooled scratch (a negative
+// distance marks an uncovered node, the queue collects members), so the
+// exact-size result is the only allocation.
 func (g *Graph) DominatingSet() []int {
 	n := g.Order()
-	covered := make([]bool, n)
-	var set []int
+	s := getScratch(n)
+	covered := s.dist
+	members := s.queue
 	for v := 0; v < n; v++ {
-		if covered[v] {
+		if covered[v] >= 0 {
 			continue
 		}
-		set = append(set, v)
-		covered[v] = true
+		members = append(members, int32(v))
+		covered[v] = 0
 		for _, w := range g.row(v) {
-			covered[w] = true
+			covered[w] = 0
 		}
 	}
+	set := make([]int, len(members))
+	for i, v := range members {
+		set[i] = int(v)
+	}
+	s.queue = members
+	putScratch(s)
 	return set
 }
-
-// UnionFind is a disjoint-set forest with union by size and path halving.
-// It is the contraction substrate of the Karger prescreen in internal/check:
-// contracting an edge is one Union, and the surviving super-nodes are the
-// distinct roots.
-type UnionFind struct {
-	parent []int32
-	size   []int32
-	count  int
-}
-
-// NewUnionFind returns a forest of n singleton sets.
-func NewUnionFind(n int) *UnionFind {
-	uf := &UnionFind{
-		parent: make([]int32, n),
-		size:   make([]int32, n),
-		count:  n,
-	}
-	for i := range uf.parent {
-		uf.parent[i] = int32(i)
-		uf.size[i] = 1
-	}
-	return uf
-}
-
-// Reset restores every node to its own singleton set, reusing storage.
-func (uf *UnionFind) Reset() {
-	for i := range uf.parent {
-		uf.parent[i] = int32(i)
-		uf.size[i] = 1
-	}
-	uf.count = len(uf.parent)
-}
-
-// Find returns the canonical representative of x's set.
-func (uf *UnionFind) Find(x int) int {
-	p := int32(x)
-	for uf.parent[p] != p {
-		uf.parent[p] = uf.parent[uf.parent[p]] // path halving
-		p = uf.parent[p]
-	}
-	return int(p)
-}
-
-// Union merges the sets of x and y, reporting whether a merge happened
-// (false when they were already together).
-func (uf *UnionFind) Union(x, y int) bool {
-	rx, ry := int32(uf.Find(x)), int32(uf.Find(y))
-	if rx == ry {
-		return false
-	}
-	if uf.size[rx] < uf.size[ry] {
-		rx, ry = ry, rx
-	}
-	uf.parent[ry] = rx
-	uf.size[rx] += uf.size[ry]
-	uf.count--
-	return true
-}
-
-// Same reports whether x and y are in the same set.
-func (uf *UnionFind) Same(x, y int) bool { return uf.Find(x) == uf.Find(y) }
-
-// Count returns the number of disjoint sets.
-func (uf *UnionFind) Count() int { return uf.count }
-
-// SetSize returns the size of x's set.
-func (uf *UnionFind) SetSize(x int) int { return int(uf.size[uf.Find(x)]) }

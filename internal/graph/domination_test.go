@@ -76,59 +76,3 @@ func TestDominatingSetDeterministic(t *testing.T) {
 		t.Fatalf("empty graph produced a non-empty dominating set: %v", set)
 	}
 }
-
-// TestUnionFind exercises the forest against a naive label array on a
-// random merge sequence: Find/Same/Count/SetSize agree at every step, and
-// Union reports a merge exactly when the labels differed.
-func TestUnionFind(t *testing.T) {
-	const n = 64
-	uf := NewUnionFind(n)
-	label := make([]int, n)
-	for i := range label {
-		label[i] = i
-	}
-	if uf.Count() != n {
-		t.Fatalf("fresh forest has %d sets, want %d", uf.Count(), n)
-	}
-	rng := rand.New(rand.NewSource(42))
-	for step := 0; step < 200; step++ {
-		x, y := rng.Intn(n), rng.Intn(n)
-		want := label[x] != label[y]
-		if got := uf.Union(x, y); got != want {
-			t.Fatalf("step %d: Union(%d,%d)=%t, labels say %t", step, x, y, got, want)
-		}
-		if want {
-			old, new_ := label[y], label[x]
-			for i := range label {
-				if label[i] == old {
-					label[i] = new_
-				}
-			}
-		}
-		// Spot-check the queries against the labels.
-		a, b := rng.Intn(n), rng.Intn(n)
-		if uf.Same(a, b) != (label[a] == label[b]) {
-			t.Fatalf("step %d: Same(%d,%d) disagrees with labels", step, a, b)
-		}
-		size := 0
-		for i := range label {
-			if label[i] == label[a] {
-				size++
-			}
-		}
-		if got := uf.SetSize(a); got != size {
-			t.Fatalf("step %d: SetSize(%d)=%d, labels say %d", step, a, got, size)
-		}
-		sets := map[int]bool{}
-		for i := range label {
-			sets[label[i]] = true
-		}
-		if uf.Count() != len(sets) {
-			t.Fatalf("step %d: Count()=%d, labels say %d", step, uf.Count(), len(sets))
-		}
-	}
-	uf.Reset()
-	if uf.Count() != n || !uf.Same(0, 0) || uf.Same(0, 1) || uf.SetSize(7) != 1 {
-		t.Fatal("Reset did not restore singleton sets")
-	}
-}

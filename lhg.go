@@ -62,10 +62,8 @@ type (
 	Edge = graph.Edge
 	// Report is the outcome of verifying the LHG properties.
 	Report = check.Report
-	// ScreenReport is the outcome of the certified scale screen.
+	// ScreenReport is the outcome of the scale screen.
 	ScreenReport = check.ScreenReport
-	// ScreenOptions configures a scale-screen run.
-	ScreenOptions = check.ScreenOptions
 	// Failures selects crashed nodes and failed links for a flood.
 	Failures = flood.Failures
 	// FloodResult reports rounds, messages and coverage of one flood.
@@ -383,20 +381,22 @@ func Verify(ctx context.Context, g *Graph, k int, opts ...Option) (*Report, erro
 	})
 }
 
-// Screen runs the certified scale screen — the verification tier for
-// instances too large for the exact campaign (n ~ 10^6). Every verdict in
-// the report is honest three-valued state: refuted (exact witness found),
-// confirmed (a sufficient exact check passed), or screened (linear checks,
-// Monte Carlo contraction cuts and sampled exact probes all passed without
-// exhaustively proving the property). See check.Screen.
-func Screen(ctx context.Context, g *Graph, k int, opt ScreenOptions) (*ScreenReport, error) {
+// Screen runs the scale screen, the verification tier for instances too
+// large for the all-sources distance sweep (n ~ 10^6). It computes the
+// exact κ and λ, as Verify does, and confirms or refutes P1 and P2 from
+// them. It skips P3 and answers P4 from one BFS with a three-valued
+// verdict: refuted, confirmed, or screened (2·ecc(0) exceeds the bound
+// but ecc(0) does not). WithWorkers sets the goroutine budget of the κ
+// and λ sweeps, as in Verify; other options are ignored. See
+// check.Screen.
+func Screen(ctx context.Context, g *Graph, k int, opts ...Option) (*ScreenReport, error) {
 	ctx, sp := trace.StartRoot(ctx, "lhg.Screen")
 	if sp.Live() {
 		sp.SetAttr(trace.Int("n", int64(g.Order())))
 		sp.SetAttr(trace.Int("k", int64(k)))
 	}
 	defer sp.End()
-	return check.Screen(ctx, g, k, opt)
+	return check.Screen(ctx, g, k, applyOptions(opts).workers)
 }
 
 // DeltaVerifier carries verification state across a churn stream: the
