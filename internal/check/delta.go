@@ -11,12 +11,11 @@ package check
 // exactness. The previous report is always one the verifier computed
 // itself, never one a caller hands in.
 //
-// Soundness. Let G be the previous graph with κ(G) >= c and λ(G) >= c
-// (from the previous report), and G′ the graph after the delta. Write
-// survivors for the labels present in both. The fast path certifies
-// κ(G′) >= c by a localization argument with every probe running in G′
-// itself. Suppose X, |X| < c, disconnects G′; consider the components of
-// G′−X:
+// Soundness. Let G be the previous graph with κ(G) >= c (from the
+// previous report), and G′ the graph after the delta. Write survivors for
+// the labels present in both. The fast path certifies κ(G′) >= c by a
+// localization argument with every probe running in G′ itself. Suppose X,
+// |X| < c, disconnects G′; consider the components of G′−X:
 //
 //   - A component with no survivor consists of newly admitted labels; the
 //     expansion check below (every subset S of admissions sees >= c
@@ -27,29 +26,32 @@ package check
 //     bridge the components — an edge of G absent from G′ is either a
 //     removed survivor-survivor edge (u,v), or lies in a maximal run of
 //     departed labels whose survivor boundary now spans two components.
-//     The probe set is exactly: endpoints of removed survivor edges, plus
-//     all boundary pairs of each connected component of the departed
-//     subgraph. Such a bridging pair sits in different components of
-//     G′−X, so its vertex-cut probe in G′ would report < c. If every
-//     probe passes, no small cut exists. (Probing G′ rather than a
-//     survivor-only view matters: after a batched admission the new
-//     labels may carry the very connectivity the removed edges used to.)
+//     The candidate pairs are exactly: endpoints of removed survivor
+//     edges, plus all boundary pairs of each connected component of the
+//     departed subgraph. A bridging pair sits in different components of
+//     G′−X, so it is not adjacent in G′, and its vertex-cut probe in G′
+//     would report < c. The plan therefore keeps only the candidates that
+//     are non-adjacent in G′, one flow each. If every probe passes, no
+//     small cut exists. (Probing G′ rather than a survivor-only view
+//     matters: after a batched admission the new labels may carry the
+//     very connectivity the removed edges used to.)
 //
-// The same argument with edge cuts certifies λ(G′) >= c (a subset of
-// admissions also needs >= c outgoing edges, checked alongside). Choosing
-// c = δ(G′) then PINS both values exactly — κ <= λ <= δ (Whitney) forces
-// κ(G′) = λ(G′) = δ(G′) — which is the only case the fast path reports;
-// anything weaker falls back to Verify so the report stays bit-identical
-// to a fresh full verification (timing phases aside, which are wall-clock).
-// P3 runs through the SAME verifyLinkMinimality as the full campaign (free
-// for regular graphs via the Δ = λ shortcut, the identical edge sweep
-// otherwise), and P4 distances are always recomputed exactly — diameter
-// does not localize. What the fast path elides is precisely the κ and λ
-// phases: two O(n)-probe campaigns become O(|frontier|) localized probes.
-// The exact P4 sweep is the bit-parallel all-sources BFS of
-// graph.DistanceStatsCtx (256 sources per pass); at n=4096 it costs about
-// as much as the localized probes rather than the ~20× it cost as one
-// scalar BFS per source.
+// λ needs no probes of its own. Choosing c = δ(G′), Whitney's
+// κ <= λ <= δ turns κ(G′) >= c into κ(G′) = λ(G′) = δ(G′), which is the
+// only case the fast path reports; anything weaker falls back to Verify
+// so the report stays bit-identical to a fresh full verification (timing
+// phases aside, which are wall-clock). The probes of one Advance form one
+// flow.VertexCutsAtLeast batch: one split-node arena of G′, re-armed per
+// pair, under the same sweep driver and worker budget as Verify's κ
+// sweep. P3 runs through the SAME verifyLinkMinimality as the full
+// campaign (free for regular graphs via the Δ = λ shortcut, the identical
+// edge sweep otherwise), and P4 distances are always recomputed exactly —
+// diameter does not localize. What the fast path elides is precisely the
+// κ and λ phases: two O(n)-probe campaigns become O(|frontier|) localized
+// probes on one arena. The exact P4 sweep is the bit-parallel
+// all-sources BFS of graph.DistanceStatsCtx (256 sources per pass); with
+// the probes batched it is most of an Advance at n=4096 (EXPERIMENTS
+// E31).
 
 import (
 	"context"
@@ -173,7 +175,7 @@ func deltaFastPath(ctx context.Context, prevG *graph.Graph, prev *Report, d grap
 
 	// The pin target: both connectivities will be certified equal to δ(G′).
 	c := r.MinDegree
-	if c < 1 || prev.NodeConnectivity < c || prev.EdgeConnectivity < c {
+	if c < 1 || prev.NodeConnectivity < c {
 		return nil, false, nil
 	}
 
@@ -186,47 +188,33 @@ func deltaFastPath(ctx context.Context, prevG *graph.Graph, prev *Report, d grap
 	if gate < deltaProbeGateFloor {
 		gate = deltaProbeGateFloor
 	}
-	pairs, ok := planDeltaPairs(prevG, d, nSurv, gate)
+	pairs, ok := planDeltaPairs(prevG, next, d, nSurv, gate)
 	if !ok {
 		return nil, false, nil
 	}
 	// Every subset of the new admissions must expand into >= c outside
-	// vertices and >= c outgoing edges (the all-admitted-side cut case).
+	// vertices (the all-admitted-side cut case).
 	if n > oldN && !newSideExpansion(next, oldN, c) {
 		return nil, false, nil
 	}
 
-	// Probe phase: every planned pair must keep vertex- and edge-cut >= c
-	// in next. Early-exit flows; any miss aborts to the full campaign.
+	// Probe phase: every planned pair must keep its vertex cut >= c in
+	// next. One batch of early-exit flows; any miss falls back to the
+	// full campaign.
 	ph := phaseRunner{ctx: ctx, spanPrefix: "check.", phases: &r.Phases}
-	healthy := true
+	healthy := false
 	if err := ph.run("delta-probes", tPhaseDelta, func(pctx context.Context) error {
-		for _, p := range pairs {
-			if err := pctx.Err(); err != nil {
-				return err
-			}
-			mDeltaPairs.Inc()
-			if !next.HasEdge(p[0], p[1]) {
-				ok, err := flow.VertexCutAtLeast(pctx, next, p[0], p[1], c)
-				if err != nil || !ok {
-					healthy = false
-					return err
-				}
-			}
-			ok, err := flow.EdgeCutAtLeast(pctx, next, p[0], p[1], c)
-			if err != nil || !ok {
-				healthy = false
-				return err
-			}
-		}
-		return nil
+		mDeltaPairs.Add(int64(len(pairs)))
+		var err error
+		healthy, err = flow.VertexCutsAtLeast(pctx, next, pairs, c, workers)
+		return err
 	}); err != nil || !healthy {
 		return nil, false, err
 	}
 
-	// Pin: c <= κ(G′) (localization + expansion) and κ(G′) <= δ(G′) = c
-	// (Whitney), so both connectivities are exactly c — no regularity
-	// assumption needed.
+	// Pin: c <= κ(G′) (localization + expansion) and κ(G′) <= λ(G′) <=
+	// δ(G′) = c (Whitney), so both connectivities are exactly c — no
+	// regularity assumption needed.
 	r.NodeConnectivity = c
 	r.EdgeConnectivity = c
 	r.KNodeConnected = c >= k
@@ -244,12 +232,14 @@ func deltaFastPath(ctx context.Context, prevG *graph.Graph, prev *Report, d grap
 // planDeltaPairs derives the probe pairs of the localization lemma:
 // endpoints of removed survivor-survivor edges, plus — for every connected
 // component of the subgraph induced on departed labels — every pair of its
-// survivor boundary. Returns ok=false when the plan exceeds the gate.
-func planDeltaPairs(prevG *graph.Graph, d graph.EdgeDelta, nSurv, gate int) ([][2]int, bool) {
+// survivor boundary, keeping only the pairs non-adjacent in next (no
+// vertex cut separates the others). Returns ok=false when the plan
+// exceeds the gate, which therefore counts flows.
+func planDeltaPairs(prevG, next *graph.Graph, d graph.EdgeDelta, nSurv, gate int) ([][2]int, bool) {
 	seen := make(map[[2]int]bool)
 	var pairs [][2]int
 	addPair := func(u, v int) bool {
-		if u == v || u >= nSurv || v >= nSurv {
+		if u == v || u >= nSurv || v >= nSurv || next.HasEdge(u, v) {
 			return true
 		}
 		if u > v {
@@ -313,56 +303,58 @@ func planDeltaPairs(prevG *graph.Graph, d graph.EdgeDelta, nSurv, gate int) ([][
 	return pairs, true
 }
 
-// newSideExpansion certifies the all-admitted-side case of both cut
-// lemmas: every nonempty set S of newly admitted labels [oldN, n) must see
-// >= c distinct vertices outside S (else S's neighborhood is a < c vertex
-// cut) and >= c edges leaving S (else its coboundary is a < c edge cut).
-// A set that splits into non-adjacent pieces inherits both bounds from its
-// pieces — N(S₁)\S₁ ⊆ N(S)\S and the coboundaries add up — so
-// enumerating the subsets of each connected component of the
-// admitted-label subgraph is exhaustive. Declines (false) when a component
-// exceeds expansionCompCap; batched admissions wire into O(k)-sized
-// clusters, so that only trips on adversarial deltas.
+// newSideExpansion certifies the all-admitted-side case of the cut
+// lemma: every nonempty set S of newly admitted labels [oldN, n) must see
+// >= c distinct vertices outside S, else S's neighborhood is a < c vertex
+// cut. A set that splits into non-adjacent pieces inherits the bound from
+// its pieces (N(S₁)\S₁ ⊆ N(S)\S), so enumerating the subsets of each
+// connected component of the admitted-label subgraph is exhaustive.
+// Declines (false) when a component exceeds expansionCompCap; batched
+// admissions wire into O(k)-sized clusters, so that only trips on
+// adversarial deltas.
 func newSideExpansion(next *graph.Graph, oldN, c int) bool {
 	n := next.Order()
-	visited := make([]bool, n-oldN)
+	// pos[v-oldN] is 1 + v's index in its component, 0 while unvisited.
+	// Every admitted neighbor of a component member is in the component.
+	pos := make([]int, n-oldN)
+	// seen[v] == stamp marks v as counted for the current subset.
+	seen := make([]int, n)
+	stamp := 0
 	for s := oldN; s < n; s++ {
-		if visited[s-oldN] {
+		if pos[s-oldN] != 0 {
 			continue
 		}
 		comp := []int{s}
-		visited[s-oldN] = true
+		pos[s-oldN] = 1
 		for i := 0; i < len(comp); i++ {
 			next.EachNeighbor(comp[i], func(nb int) {
-				if nb >= oldN && !visited[nb-oldN] {
-					visited[nb-oldN] = true
+				if nb >= oldN && pos[nb-oldN] == 0 {
 					comp = append(comp, nb)
+					pos[nb-oldN] = len(comp)
 				}
 			})
 		}
 		if len(comp) > expansionCompCap {
 			return false
 		}
-		idx := make(map[int]int, len(comp))
-		for i, v := range comp {
-			idx[v] = i
-		}
 		for mask := 1; mask < 1<<len(comp); mask++ {
-			outEdges := 0
-			outVerts := make(map[int]bool)
+			stamp++
+			outVerts := 0
 			for i, v := range comp {
 				if mask&(1<<i) == 0 {
 					continue
 				}
 				next.EachNeighbor(v, func(nb int) {
-					if j, in := idx[nb]; in && mask&(1<<j) != 0 {
+					if nb >= oldN && mask&(1<<(pos[nb-oldN]-1)) != 0 {
 						return
 					}
-					outEdges++
-					outVerts[nb] = true
+					if seen[nb] != stamp {
+						seen[nb] = stamp
+						outVerts++
+					}
 				})
 			}
-			if outEdges < c || len(outVerts) < c {
+			if outVerts < c {
 				return false
 			}
 		}

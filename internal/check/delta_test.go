@@ -105,9 +105,26 @@ func TestDeltaVerifierFastPathFires(t *testing.T) {
 	}
 	// A pure leaf-addition join (no restructure at this size) removes no
 	// edges: zero probes, greedy attachment — fast path again.
+	// Zero probes build no flow arena either.
 	fast0 = mDeltaFastPaths.Value()
 	pairs0 := mDeltaPairs.Value()
-	got, want = advanceBoth(t, gr, dv, []core.Change{core.ChangeJoin}, opt)
+	builds := obs.NewCounter("flow.arena.builds")
+	d, err := gr.Apply([]core.Change{core.ChangeJoin})
+	if err != nil {
+		t.Fatal(err)
+	}
+	builds0 := builds.Value()
+	got, err = dv.Advance(context.Background(), d, gr.N())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b := builds.Value() - builds0; b != 0 {
+		t.Fatalf("leaf join built %d flow arenas, want 0", b)
+	}
+	want, err = Verify(context.Background(), gr.Graph(), k, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	reportsMatch(t, "leaf join", got, want)
 	if mDeltaFastPaths.Value() != fast0+1 {
 		t.Fatal("leaf-join epoch did not take the fast path")
@@ -230,6 +247,100 @@ func TestVerifyDeltaFallsBackOnDamage(t *testing.T) {
 	reportsMatch(t, "disconnecting delta", got, want)
 	if got.NodeConnectivity != 0 || got.Diameter != -1 {
 		t.Fatalf("damaged graph must report κ=0 diam=-1, got %s", got)
+	}
+}
+
+// TestVerifyDeltaFallsBackBelowMinDegree: a delta that keeps the graph
+// connected and δ(G′) = 4 but leaves λ(G′) = 3 < δ(G′). The fast path
+// can only pin κ = λ = δ, so its probes must miss and it must decline;
+// the report must equal the full verification's λ = 3.
+func TestVerifyDeltaFallsBackBelowMinDegree(t *testing.T) {
+	obs.Enable()
+	// Two K5s, {0..4} and {5..9}, joined by the matching i-(i+5): the
+	// prism K5 × K2, 5-regular with κ = λ = 5.
+	var es []graph.Edge
+	for side := 0; side <= 5; side += 5 {
+		for u := 0; u < 5; u++ {
+			for v := u + 1; v < 5; v++ {
+				es = append(es, graph.Edge{U: side + u, V: side + v})
+			}
+		}
+	}
+	for i := 0; i < 5; i++ {
+		es = append(es, graph.Edge{U: i, V: i + 5})
+	}
+	g, err := graph.FromEdges(10, es)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dv, err := NewDeltaVerifier(context.Background(), g, 4, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two matching edges go: every node keeps degree >= 4, but only three
+	// edges still join the cliques.
+	cut := graph.EdgeDelta{Removed: []graph.Edge{{U: 0, V: 5}, {U: 1, V: 6}}}
+	fast0, fb0 := mDeltaFastPaths.Value(), mDeltaFallbacks.Value()
+	got, err := dv.Advance(context.Background(), cut, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mDeltaFastPaths.Value() != fast0 || mDeltaFallbacks.Value() != fb0+1 {
+		t.Fatal("a delta with λ(G′) < δ(G′) must fall back to the full campaign")
+	}
+	next, err := g.ApplyDelta(cut, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Verify(context.Background(), next, 4, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reportsMatch(t, "λ below δ", got, want)
+	if got.MinDegree != 4 || got.EdgeConnectivity != 3 || got.NodeConnectivity != 3 {
+		t.Fatalf("want δ = 4, λ = κ = 3, got %s", got)
+	}
+}
+
+// TestVerifyDeltaFallsBackOnPendantAdmission: two admitted labels that
+// see only each other and one old node. Every degree stays >= δ = 2 and
+// no edge is removed, so no pair is probed; only the subset-expansion
+// check sees that the old node now cuts the pair off, and the fast path
+// must decline.
+func TestVerifyDeltaFallsBackOnPendantAdmission(t *testing.T) {
+	obs.Enable()
+	var es []graph.Edge
+	for i := 0; i < 8; i++ {
+		es = append(es, graph.Edge{U: i, V: (i + 1) % 8})
+	}
+	g, err := graph.FromEdges(8, es)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dv, err := NewDeltaVerifier(context.Background(), g, 2, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	join := graph.EdgeDelta{Added: []graph.Edge{{U: 0, V: 8}, {U: 0, V: 9}, {U: 8, V: 9}}}
+	fb0 := mDeltaFallbacks.Value()
+	got, err := dv.Advance(context.Background(), join, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mDeltaFallbacks.Value() != fb0+1 {
+		t.Fatal("an admission hanging off one node must fall back to the full campaign")
+	}
+	next, err := g.ApplyDelta(join, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Verify(context.Background(), next, 2, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reportsMatch(t, "pendant admission", got, want)
+	if got.NodeConnectivity != 1 || got.MinDegree != 2 {
+		t.Fatalf("want κ = 1 below δ = 2, got %s", got)
 	}
 }
 

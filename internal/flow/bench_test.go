@@ -1,7 +1,6 @@
 package flow
 
 import (
-	"context"
 	"fmt"
 	"testing"
 
@@ -17,12 +16,18 @@ import (
 var benchSink int
 
 // naiveVertexConnectivity computes κ by running a max flow for every
-// non-adjacent pair — the textbook definition, quadratic in n.
+// non-adjacent pair — the textbook definition, quadratic in n. The pairs
+// share one split-node arena, re-armed per pair with no extra sources, so
+// each flow is the plain s-t value (early-exiting at the running
+// minimum).
 func naiveVertexConnectivity(g *graph.Graph) int {
 	n := g.Order()
 	if n < 2 || !g.Connected() {
 		return 0
 	}
+	nw := getNetwork(2 * n)
+	defer putNetwork(nw)
+	nw.buildVertexBase(g, n+1, noEdge)
 	best := n - 1
 	found := false
 	for s := 0; s < n; s++ {
@@ -31,9 +36,8 @@ func naiveVertexConnectivity(g *graph.Graph) int {
 				continue
 			}
 			found = true
-			if f := stVertexFlow(context.Background(), g, s, t, best, noEdge); f < best {
-				best = f
-			}
+			nw.armVertexPair(s, t)
+			best = min(best, nw.maxflow(2*s+1, 2*t, best))
 		}
 	}
 	if !found {

@@ -149,9 +149,11 @@ func TestPooledNetworksSurviveCancellation(t *testing.T) {
 
 // TestCtxWrappersMatchLegacyAPI pins the single-edge, ctx-less query to
 // its ctx driver: EdgeIsRemovable must agree exactly with the batch
-// EdgesRemovable on every edge, and the exact EdgeCut/VertexCut values
-// must agree with the ctx-first early-exit EdgeCutAtLeast/VertexCutAtLeast
-// thresholds on both sides of the cut.
+// EdgesRemovable on every edge. It also pins the ctx-first pair batch
+// VertexCutsAtLeast to the exact VertexCut values on both sides of each
+// cut, for one and two workers, and checks its ctx.Err() contract: a
+// canceled batch returns the cancellation and no verdict, with or
+// without pairs.
 func TestCtxWrappersMatchLegacyAPI(t *testing.T) {
 	ctx := context.Background()
 	for seed := uint64(1); seed <= 5; seed++ {
@@ -169,15 +171,6 @@ func TestCtxWrappersMatchLegacyAPI(t *testing.T) {
 		}
 		for s := 0; s < g.Order(); s++ {
 			for u := s + 1; u < g.Order(); u++ {
-				cut, err := EdgeCut(g, s, u)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, c := range []int{cut, cut + 1} {
-					if ok, err := EdgeCutAtLeast(ctx, g, s, u, c); err != nil || ok != (cut >= c) {
-						t.Fatalf("seed %d pair (%d,%d): EdgeCutAtLeast(%d) = %t, %v; EdgeCut = %d", seed, s, u, c, ok, err, cut)
-					}
-				}
 				if g.HasEdge(s, u) {
 					continue
 				}
@@ -186,11 +179,23 @@ func TestCtxWrappersMatchLegacyAPI(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, c := range []int{vcut, vcut + 1} {
-					if ok, err := VertexCutAtLeast(ctx, g, s, u, c); err != nil || ok != (vcut >= c) {
-						t.Fatalf("seed %d pair (%d,%d): VertexCutAtLeast(%d) = %t, %v; VertexCut = %d", seed, s, u, c, ok, err, vcut)
+					for workers := 1; workers <= 2; workers++ {
+						ok, err := VertexCutsAtLeast(ctx, g, [][2]int{{s, u}}, c, workers)
+						if err != nil || ok != (vcut >= c) {
+							t.Fatalf("seed %d pair (%d,%d), workers %d: VertexCutsAtLeast(%d) = %t, %v; VertexCut = %d",
+								seed, s, u, workers, c, ok, err, vcut)
+						}
 					}
 				}
 			}
+		}
+	}
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	g := cycle(8)
+	for _, pairs := range [][][2]int{nil, {{0, 4}, {1, 5}}} {
+		if ok, err := VertexCutsAtLeast(canceled, g, pairs, 2, 1); ok || !errors.Is(err, context.Canceled) {
+			t.Fatalf("canceled batch of %d pairs = %t, %v; want false, context.Canceled", len(pairs), ok, err)
 		}
 	}
 }

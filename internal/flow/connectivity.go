@@ -10,13 +10,9 @@ import (
 // stVertexFlow returns the maximum number of internally vertex-disjoint
 // s-t paths for a non-adjacent pair in G−skip (noEdge masks nothing),
 // early-exiting at limit if limit >= 0. The masked edge never enters the
-// network, so removal probes cost one flow, not one clone. The probe is
-// armed with ctx: cancellation stops it between augmenting paths, and the
-// caller is responsible for checking ctx afterwards (a canceled probe
-// returns a lower bound, not the exact value).
-func stVertexFlow(ctx context.Context, g *graph.Graph, s, t, limit int, skip graph.Edge) int {
+// network, so removal probes cost one flow, not one clone.
+func stVertexFlow(g *graph.Graph, s, t, limit int, skip graph.Edge) int {
 	nw := getNetwork(2 * g.Order())
-	nw.watch(ctx)
 	nw.buildVertex(g, s, t, g.Order()+1, skip)
 	f := nw.maxflow(2*s+1, 2*t, limit)
 	putNetwork(nw)
@@ -25,9 +21,8 @@ func stVertexFlow(ctx context.Context, g *graph.Graph, s, t, limit int, skip gra
 
 // stEdgeFlow returns the maximum s-t flow in the edge network of G−skip,
 // early-exiting at limit; see stVertexFlow.
-func stEdgeFlow(ctx context.Context, g *graph.Graph, s, t, limit int, skip graph.Edge) int {
+func stEdgeFlow(g *graph.Graph, s, t, limit int, skip graph.Edge) int {
 	nw := getNetwork(g.Order())
-	nw.watch(ctx)
 	nw.buildEdge(g, skip)
 	f := nw.maxflow(s, t, limit)
 	putNetwork(nw)
@@ -40,7 +35,7 @@ func EdgeCut(g *graph.Graph, s, t int) (int, error) {
 	if err := validatePair(g, s, t); err != nil {
 		return 0, err
 	}
-	return stEdgeFlow(context.Background(), g, s, t, -1, noEdge), nil
+	return stEdgeFlow(g, s, t, -1, noEdge), nil
 }
 
 // VertexCut returns the size of a minimum s-t vertex cut. s and t must be
@@ -52,45 +47,38 @@ func VertexCut(g *graph.Graph, s, t int) (int, error) {
 	if g.HasEdge(s, t) {
 		return 0, fmt.Errorf("flow: no vertex cut separates adjacent nodes %d and %d", s, t)
 	}
-	return stVertexFlow(context.Background(), g, s, t, -1, noEdge), nil
+	return stVertexFlow(g, s, t, -1, noEdge), nil
 }
 
-// VertexCutAtLeast reports whether every s-t vertex cut has at least c
-// nodes, using one early-exit max flow (the probe stops as soon as c
-// disjoint paths are found). s and t must be valid and non-adjacent. It is
-// the primitive of the incremental re-verification in internal/check: a
-// localized frontier probe that never pays for the exact cut value.
-func VertexCutAtLeast(ctx context.Context, g *graph.Graph, s, t, c int) (bool, error) {
-	if err := validatePair(g, s, t); err != nil {
+// VertexCutsAtLeast reports whether every listed pair keeps an s-t vertex
+// cut of at least c nodes. Every pair must be valid and non-adjacent. It
+// is the probe batch of the incremental re-verification in
+// internal/check: the pairs run through the κ sweep's driver on one
+// split-node arena, across `workers` goroutines as VertexConnectivity
+// does, and each probe is a re-arm plus one max flow that stops after c
+// disjoint paths. No pair, or c <= 0, builds nothing. A canceled batch
+// returns ctx.Err() and no verdict.
+func VertexCutsAtLeast(ctx context.Context, g *graph.Graph, pairs [][2]int, c, workers int) (bool, error) {
+	for _, p := range pairs {
+		if err := validatePair(g, p[0], p[1]); err != nil {
+			return false, err
+		}
+		if g.HasEdge(p[0], p[1]) {
+			return false, fmt.Errorf("flow: no vertex cut separates adjacent nodes %d and %d", p[0], p[1])
+		}
+	}
+	n := g.Order()
+	least, err := sweepMin(ctx, "flow.pairs.worker", len(pairs), workers, c, 2*n,
+		func(nw *network) { nw.buildVertexBase(g, n+1, noEdge) },
+		func(nw *network, i, limit int) int {
+			s, t := pairs[i][0], pairs[i][1]
+			nw.armVertexPair(s, t)
+			return nw.maxflow(2*s+1, 2*t, limit)
+		})
+	if err != nil {
 		return false, err
 	}
-	if c <= 0 {
-		return true, ctx.Err()
-	}
-	if g.HasEdge(s, t) {
-		return false, fmt.Errorf("flow: no vertex cut separates adjacent nodes %d and %d", s, t)
-	}
-	ok := stVertexFlow(ctx, g, s, t, c, noEdge) >= c
-	if err := ctx.Err(); err != nil {
-		return false, err
-	}
-	return ok, nil
-}
-
-// EdgeCutAtLeast reports whether every s-t edge cut has at least c
-// edges, using one early-exit max flow; see VertexCutAtLeast.
-func EdgeCutAtLeast(ctx context.Context, g *graph.Graph, s, t, c int) (bool, error) {
-	if err := validatePair(g, s, t); err != nil {
-		return false, err
-	}
-	if c <= 0 {
-		return true, ctx.Err()
-	}
-	ok := stEdgeFlow(ctx, g, s, t, c, noEdge) >= c
-	if err := ctx.Err(); err != nil {
-		return false, err
-	}
-	return ok, nil
+	return least >= c, nil
 }
 
 // MinVertexCutSet returns an actual minimum vertex cut separating
@@ -290,9 +278,8 @@ func EdgeIsRemovable(g *graph.Graph, e graph.Edge, kappa, lambda int) bool {
 		// λ (κ) probe under the bar. Same verdict as the probes, no flow.
 		return false
 	}
-	ctx := context.Background()
-	return stEdgeFlow(ctx, g, e.U, e.V, lambda, e) >= lambda &&
-		stVertexFlow(ctx, g, e.U, e.V, kappa, e) >= kappa
+	return stEdgeFlow(g, e.U, e.V, lambda, e) >= lambda &&
+		stVertexFlow(g, e.U, e.V, kappa, e) >= kappa
 }
 
 // VertexDisjointPaths returns a maximum set of pairwise internally

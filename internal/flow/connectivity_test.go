@@ -418,32 +418,37 @@ func reachableAvoiding(g *graph.Graph, s, t int, removed []bool) bool {
 	return false
 }
 
-// TestPropertyEarlyExitAgreesWithExact pins the early-exit pair
-// thresholds to the exact pair cuts: EdgeCutAtLeast/VertexCutAtLeast(c)
-// must agree with EdgeCut/VertexCut >= c for every pair and every c.
+// TestPropertyEarlyExitAgreesWithExact pins the early-exit pair batch to
+// the exact pair cuts: VertexCutsAtLeast(c) on one non-adjacent pair must
+// agree with VertexCut >= c for every pair and every c, and on all of
+// them at once with the smallest such cut >= c.
 func TestPropertyEarlyExitAgreesWithExact(t *testing.T) {
 	ctx := context.Background()
 	f := func(seed uint32, nRaw uint8) bool {
 		n := int(nRaw%8) + 3
 		g := randomGraph(n, uint64(seed))
+		var all [][2]int
+		least := inf
 		for s := 0; s < n; s++ {
 			for u := s + 1; u < n; u++ {
-				cut := must(EdgeCut(g, s, u))
-				vcut := -1
-				if !g.HasEdge(s, u) {
-					vcut = must(VertexCut(g, s, u))
+				if g.HasEdge(s, u) {
+					continue
 				}
+				vcut := must(VertexCut(g, s, u))
+				all = append(all, [2]int{s, u})
+				least = min(least, vcut)
 				for c := 0; c <= n; c++ {
-					if ok, err := EdgeCutAtLeast(ctx, g, s, u, c); err != nil || ok != (cut >= c) {
-						return false
-					}
-					if vcut < 0 {
-						continue
-					}
-					if ok, err := VertexCutAtLeast(ctx, g, s, u, c); err != nil || ok != (vcut >= c) {
+					ok, err := VertexCutsAtLeast(ctx, g, [][2]int{{s, u}}, c, 1)
+					if err != nil || ok != (vcut >= c) {
 						return false
 					}
 				}
+			}
+		}
+		for c := 0; c <= n; c++ {
+			ok, err := VertexCutsAtLeast(ctx, g, all, c, 1)
+			if err != nil || ok != (least >= c) {
+				return false
 			}
 		}
 		return true

@@ -132,11 +132,11 @@ func TestPropertyCutpointsConsistentWithFlow(t *testing.T) {
 			return true
 		}
 		kappa2 := kappaOf(g) >= 2
-		if kappa2 != (len(g.ArticulationPoints()) == 0) {
+		if kappa2 != (len(articulationPoints(g)) == 0) {
 			return false
 		}
 		lambda2 := lambdaOf(g) >= 2
-		return lambda2 == (len(g.Bridges()) == 0)
+		return lambda2 == (len(bridges(g)) == 0)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

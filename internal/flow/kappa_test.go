@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"context"
 	"testing"
 
 	"lhg/internal/graph"
@@ -47,6 +48,59 @@ func TestVertexConnectivityMatchesNaive(t *testing.T) {
 				t.Fatalf("graph %d (n=%d, p=%d/16), workers=%d: κ=%d, all-pairs κ=%d\nedges: %v",
 					i, n, num, workers, got, want, g.Edges())
 			}
+		}
+	}
+}
+
+// TestVertexCutsAtLeastMatchesPairCuts is the differential behind the
+// delta verifier's probe batch: on seeded random graphs, a batch of
+// non-adjacent pairs passes VertexCutsAtLeast(c) exactly when the
+// smallest of their VertexCut values (a fresh network per pair) is at
+// least c, for c below, at and above that minimum and for one to three
+// workers. An empty batch passes, and a batch holding an adjacent,
+// degenerate (s = t) or out-of-range pair is an error. A -race build
+// checks the first tenth of the stream.
+func TestVertexCutsAtLeastMatchesPairCuts(t *testing.T) {
+	ctx := context.Background()
+	graphs := uint64(400)
+	if raceEnabled {
+		graphs = 40
+	}
+	for i := uint64(0); i < graphs; i++ {
+		n := 4 + int(i%14)   // 4..17
+		num := 2 + (i/14)%13 // p from 2/16 to 14/16
+		g := gnp(n, num, i+1)
+		var pairs [][2]int
+		least := inf
+		for s := 0; s < n; s++ {
+			for u := s + 1; u < n; u++ {
+				if g.HasEdge(s, u) || (uint64(s*31+u*17)+i)%3 == 0 {
+					continue
+				}
+				pairs = append(pairs, [2]int{u, s}) // either orientation works
+				least = min(least, must(VertexCut(g, s, u)))
+			}
+		}
+		if len(pairs) == 0 {
+			if ok, err := VertexCutsAtLeast(ctx, g, nil, n, 1); !ok || err != nil {
+				t.Fatalf("graph %d: empty batch = %t, %v; want true", i, ok, err)
+			}
+			continue
+		}
+		for _, c := range []int{least - 1, least, least + 1} {
+			for workers := 1; workers <= 3; workers++ {
+				ok, err := VertexCutsAtLeast(ctx, g, pairs, c, workers)
+				if err != nil || ok != (least >= c) {
+					t.Fatalf("graph %d (n=%d, p=%d/16), %d pairs, c=%d, workers=%d: %t, %v; smallest pair cut %d",
+						i, n, num, len(pairs), c, workers, ok, err, least)
+				}
+			}
+		}
+	}
+	g := cycle(6)
+	for _, bad := range [][][2]int{{{0, 1}}, {{0, 3}, {2, 2}}, {{0, 6}}, {{-1, 3}}} {
+		if _, err := VertexCutsAtLeast(ctx, g, bad, 2, 1); err == nil {
+			t.Fatalf("pairs %v: want an error", bad)
 		}
 	}
 }
@@ -197,16 +251,22 @@ func FuzzVertexConnectivityNaive(f *testing.F) {
 }
 
 // naiveEdgeConnectivity is λ by its all-pairs definition: the smallest
-// s-t edge cut over every pair of nodes.
+// s-t edge cut over every pair of nodes. The pairs share one edge arena,
+// re-armed per pair with no extra sources, and each flow early-exits at
+// the running minimum.
 func naiveEdgeConnectivity(g *graph.Graph) int {
 	n := g.Order()
 	if n < 2 {
 		return 0
 	}
+	nw := getNetwork(n)
+	defer putNetwork(nw)
+	nw.buildEdge(g, noEdge)
 	best := inf
 	for s := 0; s < n; s++ {
 		for t := s + 1; t < n; t++ {
-			best = min(best, must(EdgeCut(g, s, t)))
+			nw.rearm()
+			best = min(best, nw.maxflow(s, t, best))
 		}
 	}
 	return best

@@ -46,8 +46,8 @@ func probeProgress(sp trace.Span, i, total int) {
 }
 
 // Probe sweeps. Every global question of this package (κ, λ, λ′, the
-// global min cut and the P3 removal batch) is a fixed set of max-flow
-// probes over one topology. The caller builds that topology once as a
+// global min cut, the P3 removal batch and the delta pair batch) is a
+// fixed set of max-flow probes over one topology. The caller builds that topology once as a
 // recycled arena; worker 0 probes on it and every extra worker on a copy,
 // re-arming capacities per probe instead of rebuilding. The κ and λ
 // probes also grow a source set on the network they run on (see

@@ -28,3 +28,11 @@ func (g *Graph) BFSTree(src int) *Graph {
 	}
 	return MustFromEdges(n, edges)
 }
+
+// edgeOf returns the canonical (U < V) form of the edge u-v.
+func edgeOf(u, v int) Edge {
+	if u > v {
+		u, v = v, u
+	}
+	return Edge{U: u, V: v}
+}
