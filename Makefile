@@ -57,9 +57,9 @@ define bench2json
 		END { printf "\n  ]\n}\n" }'
 endef
 
-# bench runs the perf-trajectory series (exact verification and flooding at
-# n in {256, 1024, 4096}, exact verification of the dense core-periphery
-# graph, the scale screen of a k-regular K-TREE at the grid point nearest
+# bench runs the perf-trajectory series (exact verification, serial and with
+# two workers, and flooding at n in {256, 1024, 4096}, exact verification
+# of the dense core-periphery graph, the scale screen of a k-regular K-TREE at the grid point nearest
 # n = 10^6 with its kappa/lambda phase split, the P4 all-sources distance
 # sweep on K-TREE(4096,3) and K-DIAMOND(4096,4) serial and with two
 # workers, the steady-state 0-alloc probes (BFS, the degree-shortcut edge

@@ -136,20 +136,23 @@ func BenchmarkVerify(b *testing.B) {
 // BenchmarkVerifySweep is the perf-trajectory series emitted into
 // BENCH_verify.json by `make bench`: full exact verification at the sweep
 // sizes (all three are irregular K-DIAMOND instances, so the per-edge P3
-// sweep runs).
+// sweep runs), serial and with the probe sweeps and the distance sweep
+// fanned across two workers.
 func BenchmarkVerifySweep(b *testing.B) {
 	for _, n := range []int{256, 1024, 4096} {
 		g := buildOrFatal(b, lhg.KDiamond, n, 4)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				r, err := lhg.Verify(context.Background(), g, 4)
-				if err != nil {
-					b.Fatal(err)
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("n=%d/workers=%d", n, workers), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					r, err := lhg.Verify(context.Background(), g, 4, lhg.WithWorkers(workers))
+					if err != nil {
+						b.Fatal(err)
+					}
+					sinkBool = r.IsLHG()
 				}
-				sinkBool = r.IsLHG()
-			}
-		})
+			})
+		}
 	}
 }
 
@@ -252,24 +255,6 @@ func BenchmarkVerifyDense(b *testing.B) {
 			b.Fatalf("κ=%d λ=%d, want %d", r.NodeConnectivity, r.EdgeConnectivity, k)
 		}
 		sinkBool = r.IsLHG()
-	}
-}
-
-// BenchmarkVerifyParallel is BenchmarkVerifySweep driven through the
-// worker-pool verifier with one worker per core.
-func BenchmarkVerifyParallel(b *testing.B) {
-	for _, n := range []int{256, 1024} {
-		g := buildOrFatal(b, lhg.KDiamond, n, 4)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				r, err := lhg.Verify(context.Background(), g, 4, lhg.WithWorkers(0))
-				if err != nil {
-					b.Fatal(err)
-				}
-				sinkBool = r.IsLHG()
-			}
-		})
 	}
 }
 

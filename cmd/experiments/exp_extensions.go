@@ -61,7 +61,7 @@ func runE15(w io.Writer) error {
 		}
 		fmt.Fprintf(w, "%-22s %-12.1f %-12d %-14d\n", tc.name, mean, maxC, last)
 		// The grown topology must still be a verified LHG.
-		r, err := check.Verify(expCtx, gr.Snapshot(), k, check.Options{Workers: verifyWorkers})
+		r, err := check.Verify(expCtx, gr.Graph(), k, check.Options{Workers: verifyWorkers})
 		if err != nil {
 			return err
 		}

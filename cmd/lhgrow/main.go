@@ -110,7 +110,7 @@ func run(args []string, out io.Writer) error {
 			N:       gr.N(),
 			Added:   pairs(d.Added),
 			Removed: pairs(d.Removed),
-			Regular: gr.Snapshot().IsRegular(*k),
+			Regular: gr.Graph().IsRegular(*k),
 		}
 		if err := enc.Encode(rec); err != nil {
 			return err
@@ -194,7 +194,7 @@ func (s *churnStats) print(out io.Writer, constraint string, k int, ops []lhg.Ch
 		mean = float64(s.added+s.removed) / float64(len(ops))
 	}
 	fmt.Fprintf(out, "constraint: %s\nk: %d\njoins: %d\nleaves: %d\nfinal n: %d\nfinal edges: %d\nlinks added: %d\nlinks removed: %d\nmean churn: %.2f\nmax churn: %d\n",
-		constraint, k, joins, leaves, gr.N(), gr.Snapshot().Size(), s.added, s.removed, mean, s.maxChurn)
+		constraint, k, joins, leaves, gr.N(), gr.Graph().Size(), s.added, s.removed, mean, s.maxChurn)
 }
 
 func pairs(es []lhg.Edge) [][2]int {

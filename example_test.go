@@ -81,7 +81,7 @@ func ExampleNewKDiamondGrower() {
 			log.Fatal(err)
 		}
 		fmt.Printf("n=%d churn=%d regular=%t\n",
-			gr.N(), delta.Total(), gr.Snapshot().IsRegular(3))
+			gr.N(), delta.Total(), gr.Graph().IsRegular(3))
 	}
 	// Output:
 	// n=7 churn=3 regular=false

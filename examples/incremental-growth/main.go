@@ -36,7 +36,7 @@ func main() {
 		if delta.Total() > maxChurn {
 			maxChurn = delta.Total()
 		}
-		g := gr.Snapshot()
+		g := gr.Graph()
 		n := g.Order()
 
 		// Print the interesting steps: the first few and every regular hit.

@@ -333,9 +333,10 @@ func verifyLinkMinimality(ctx context.Context, g *graph.Graph, r *Report, worker
 	}
 	mP3EdgesProbed.Add(int64(g.Size()))
 	// An edge with an endpoint of degree <= max(κ, λ) is never removable
-	// (the degree shortcut of flow.EdgeIsRemovable), so only the others
-	// enter the batch; the first removable edge in canonical order is the
-	// same, and near-regular graphs never materialize their edge list.
+	// (the degree shortcut of flow.EdgeIsRemovable, which EdgesRemovable
+	// leaves to its caller), so only the others enter the batch; the
+	// first removable edge in canonical order is the same, and
+	// near-regular graphs never materialize their edge list.
 	var edges []graph.Edge
 	g.EachEdge(func(u, v int) {
 		if d := min(g.Degree(u), g.Degree(v)); d > lambda && d > kappa {

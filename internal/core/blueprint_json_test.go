@@ -122,12 +122,12 @@ func TestGrowerIsomorphicInvariants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		compareInvariants(t, "ktree", n, ktg.Snapshot(), kt.Real.Graph)
+		compareInvariants(t, "ktree", n, ktg.Graph(), kt.Real.Graph)
 		kd, err := BuildKDiamond(n, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		compareInvariants(t, "kdiamond", n, kdg.Snapshot(), kd.Real.Graph)
+		compareInvariants(t, "kdiamond", n, kdg.Graph(), kd.Real.Graph)
 	}
 }
 

@@ -83,7 +83,7 @@ func FuzzGrowers(f *testing.F) {
 				Size() int
 				IsRegular(int) bool
 				MinDegree() (int, int)
-			}{ktg.Snapshot(), kdg.Snapshot()} {
+			}{ktg.Graph(), kdg.Graph()} {
 				if minDeg, _ := g.MinDegree(); minDeg < k {
 					t.Fatalf("n=%d: min degree %d < k=%d", n, minDeg, k)
 				}
@@ -92,14 +92,14 @@ func FuzzGrowers(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ktg.Snapshot().Size() != kt.Real.Graph.Size() {
+			if ktg.Graph().Size() != kt.Real.Graph.Size() {
 				t.Fatalf("n=%d: grower edges %d != canonical %d",
-					n, ktg.Snapshot().Size(), kt.Real.Graph.Size())
+					n, ktg.Graph().Size(), kt.Real.Graph.Size())
 			}
-			if ktg.Snapshot().IsRegular(k) != RegularKTree(n, k) {
+			if ktg.Graph().IsRegular(k) != RegularKTree(n, k) {
 				t.Fatalf("n=%d: K-TREE grower regularity off the grid", n)
 			}
-			if kdg.Snapshot().IsRegular(k) != RegularKDiamond(n, k) {
+			if kdg.Graph().IsRegular(k) != RegularKDiamond(n, k) {
 				t.Fatalf("n=%d: K-DIAMOND grower regularity off the grid", n)
 			}
 		}

@@ -89,10 +89,6 @@ func (gr *KTreeGrower) K() int { return gr.k }
 // freeze is cached between growth steps, so repeated calls are free.
 func (gr *KTreeGrower) Graph() *graph.Graph { return gr.g.Freeze() }
 
-// Snapshot is Graph under its historical name: the frozen view needs no
-// copy-vs-live distinction anymore.
-func (gr *KTreeGrower) Snapshot() *graph.Graph { return gr.g.Freeze() }
-
 // Grow admits one node and returns the edge surgery performed, in
 // canonical (sorted) form.
 func (gr *KTreeGrower) Grow() (EdgeDelta, error) {

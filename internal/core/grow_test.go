@@ -11,7 +11,6 @@ import (
 // grower abstracts the two incremental builders for shared test logic.
 type grower interface {
 	Grow() (EdgeDelta, error)
-	Snapshot() *graph.Graph
 	Graph() *graph.Graph
 	N() int
 	K() int
@@ -36,7 +35,7 @@ func TestGrowerInitialGraphIsMinimalLHG(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			g := gr.Snapshot()
+			g := gr.Graph()
 			if g.Order() != 2*k {
 				t.Fatalf("initial order %d, want %d", g.Order(), 2*k)
 			}
@@ -65,7 +64,7 @@ func TestKTreeGrowerEveryStepIsLHG(t *testing.T) {
 				t.Fatalf("k=%d step %d: %v", k, step, err)
 			}
 			n := gr.N()
-			g := gr.Snapshot()
+			g := gr.Graph()
 			r, err := check.Verify(context.Background(), g, k, check.Options{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
@@ -94,7 +93,7 @@ func TestKDiamondGrowerEveryStepIsLHG(t *testing.T) {
 				t.Fatalf("k=%d step %d: %v", k, step, err)
 			}
 			n := gr.N()
-			g := gr.Snapshot()
+			g := gr.Graph()
 			r, err := check.Verify(context.Background(), g, k, check.Options{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
@@ -138,17 +137,17 @@ func TestGrowerNodeCountMatchesCanonical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ktg.Snapshot().Size() != kt.Real.Graph.Size() {
+		if ktg.Graph().Size() != kt.Real.Graph.Size() {
 			t.Fatalf("n=%d: ktree grower has %d edges, canonical %d",
-				n, ktg.Snapshot().Size(), kt.Real.Graph.Size())
+				n, ktg.Graph().Size(), kt.Real.Graph.Size())
 		}
 		kd, err := BuildKDiamond(n, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if kdg.Snapshot().Size() != kd.Real.Graph.Size() {
+		if kdg.Graph().Size() != kd.Real.Graph.Size() {
 			t.Fatalf("n=%d: kdiamond grower has %d edges, canonical %d",
-				n, kdg.Snapshot().Size(), kd.Real.Graph.Size())
+				n, kdg.Graph().Size(), kd.Real.Graph.Size())
 		}
 	}
 }
@@ -207,7 +206,7 @@ func TestGrowerDeltaMatchesGraph(t *testing.T) {
 				t.Fatalf("step %d: delta add %v: %v", step, e, err)
 			}
 		}
-		cur := gr.Snapshot()
+		cur := gr.Graph()
 		if prev.Size() != cur.Size() {
 			t.Fatalf("step %d: replay has %d edges, grower %d", step, prev.Size(), cur.Size())
 		}
@@ -230,7 +229,7 @@ func TestGrowerStableIDs(t *testing.T) {
 		if _, err := gr.Grow(); err != nil {
 			t.Fatal(err)
 		}
-		g := gr.Snapshot()
+		g := gr.Graph()
 		if !g.Connected() {
 			t.Fatalf("step %d: graph disconnected", step)
 		}
@@ -254,7 +253,7 @@ func TestGrowerLongRunDiameter(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	g := gr.Snapshot()
+	g := gr.Graph()
 	diam := g.Diameter()
 	if bound := check.DiameterBound(g.Order(), k); diam > bound {
 		t.Fatalf("diameter %d exceeds bound %d at n=%d", diam, bound, g.Order())

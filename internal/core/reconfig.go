@@ -44,8 +44,6 @@ type Reconfigurer interface {
 	Apply(changes []Change) (EdgeDelta, error)
 	// Graph returns the frozen view of the current topology.
 	Graph() *graph.Graph
-	// Snapshot is Graph under its historical name.
-	Snapshot() *graph.Graph
 	// N returns the current number of nodes.
 	N() int
 	// K returns the connectivity target.

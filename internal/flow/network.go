@@ -5,7 +5,8 @@
 // probe set), restricted edge connectivity, the P3 edge-removal batch,
 // and Menger-style extraction of vertex-disjoint paths. Each global
 // question is one ctx-first function taking a worker budget; one sweep
-// driver (sweep.go) runs its probe set serially or across workers.
+// driver (sweep.go) runs its probe set serially or across the workers of
+// graph.FanOut, the repo's one CPU worker pool.
 //
 // These are the verification workhorses for the LHG properties P1 and P2:
 // a graph is k-node (k-link) connected iff its vertex (edge) connectivity

@@ -11,7 +11,7 @@ import (
 )
 
 // Worker-pool telemetry: spawned counts pool members across all fan-out
-// drivers; busy accumulates each worker's wall time inside its probe loop.
+// drivers; busy accumulates the wall time of each worker's span.
 // Utilization over a phase is busy / (workers × phase wall time).
 var (
 	mWorkersSpawned = obs.NewCounter("flow.workers.spawned")
@@ -24,19 +24,8 @@ var (
 // without per-probe noise.
 const probeProgressEvery = 32
 
-// workerSpan opens the per-worker child span of a fan-out phase,
-// attributing the worker id so the Chrome export renders each worker in
-// its own lane. Inert (and allocation-free) when tracing is disabled.
-func workerSpan(ctx context.Context, name string, w int) trace.Span {
-	_, sp := trace.StartSpan(ctx, name)
-	if sp.Live() {
-		sp.SetAttr(trace.Int("worker", int64(w)))
-	}
-	return sp
-}
-
 // probeProgress emits the batched progress point for a worker that has
-// finished its i-th probe (0-based) of total. Callers pass the phase's
+// finished its i-th probe (0-based) of total. Callers pass the worker's
 // span; the guard keeps the disabled path free of attr allocation.
 func probeProgress(sp trace.Span, i, total int) {
 	if !sp.Live() || (i+1)%probeProgressEvery != 0 {
@@ -47,20 +36,56 @@ func probeProgress(sp trace.Span, i, total int) {
 
 // Probe sweeps. Every global question of this package (κ, λ, λ′, the
 // global min cut, the P3 removal batch and the delta pair batch) is a
-// fixed set of max-flow probes over one topology. The caller builds that topology once as a
-// recycled arena; worker 0 probes on it and every extra worker on a copy,
-// re-arming capacities per probe instead of rebuilding. The κ and λ
-// probes also grow a source set on the network they run on (see
-// lambdaProbe and kappaProbe), so each worker's set holds the targets that
-// worker probed. The frozen CSR graph is shared read-only. Probes are scheduled by the work stealer
-// (steal.go), which runs a one-worker sweep inline on the caller in index
-// order.
+// fixed set of max-flow probes over one topology. The caller builds that
+// topology once as a recycled arena; worker 0 probes on it and every extra
+// worker on a copy, re-arming capacities per probe instead of rebuilding.
+// The κ and λ probes also grow a source set on the network they run on
+// (see lambdaProbe and kappaProbe), so each worker's set holds the targets
+// that worker probed. The frozen CSR graph is shared read-only. Probes are
+// handed out by graph.FanOut, the one worker pool of the repo's CPU
+// sweeps: one shared counter, and a one-worker sweep runs inline on the
+// caller in index order.
 //
 // Cancellation: the arenas are armed with ctx, so in-flight probes stop
-// between augmenting-path iterations, and the stealer stops handing out
+// between augmenting-path iterations, and runPool stops handing out
 // probes once ctx fires. The drivers join every worker before returning —
 // cancellation never leaks a goroutine — and report ctx.Err() once the
 // pool has drained.
+
+// runPool runs body on the graph.FanOut workers of a probe sweep of total
+// probes; next stops handing out probes once ctx fires. With more than one
+// worker, each worker runs under its own span (spanName, attributed with
+// the worker id so the Chrome export gives it its own lane), emits the
+// batched probe-progress events, and adds the span's wall time to
+// flow.workers.busy. A one-worker sweep runs inline with no worker span.
+func runPool(ctx context.Context, spanName string, total, workers int, body func(w int, next func() (int, bool))) {
+	workers = graph.ClampWorkers(workers, total)
+	if workers > 1 {
+		mWorkersSpawned.Add(int64(workers))
+	}
+	graph.FanOut(total, workers, func(w int, next func() (int, bool)) {
+		var wsp trace.Span
+		if workers > 1 {
+			_, ts := trace.StartTimed(ctx, spanName)
+			defer func() { tWorkerBusy.Observe(ts.End()) }()
+			if wsp = ts.Span(); wsp.Live() {
+				wsp.SetAttr(trace.Int("worker", int64(w)))
+			}
+		}
+		done := 0
+		body(w, func() (int, bool) {
+			if ctx.Err() != nil {
+				return 0, false
+			}
+			i, ok := next()
+			if ok {
+				done++
+				probeProgress(wsp, done-1, total)
+			}
+			return i, ok
+		})
+	})
+}
 
 // buildArena builds the one topology of a sweep on the caller, into a
 // recycled network armed with ctx. Worker 0 probes on it; every other worker
@@ -107,7 +132,7 @@ func sweepMin(ctx context.Context, span string, total, workers, start, size int,
 	defer putNetwork(arena)
 	var best atomic.Int64
 	best.Store(int64(start))
-	runStealing(ctx, span, total, workers, func(w int, next func() (int, bool)) {
+	runPool(ctx, span, total, workers, func(w int, next func() (int, bool)) {
 		var nw *network
 		if w > 0 {
 			defer func() { putNetwork(nw) }()
@@ -193,34 +218,25 @@ func canonicalIndices(g *graph.Graph, edges []graph.Edge) ([]int32, error) {
 // link-minimality sweep in internal/check. Every edge must be an edge of
 // g; one that is not is an error.
 //
-// Edges whose endpoint degree already caps a probe below its bar take the
-// degree shortcut of EdgeIsRemovable without a flow. The rest run on
-// one unmasked edge arena and one split-node arena, built once: every
-// probe is rearm + canonical-index mask + early-exit max flow — two undos
-// of the previous probe's writes per edge instead of two topology
-// rebuilds, which is where the P3 sweep spends its time on large
-// instances. A canceled sweep
-// drains its workers, then returns ctx.Err() and no slice.
+// Every edge gets its probes; the degree shortcut of EdgeIsRemovable (an
+// endpoint of degree <= max(kappa, lambda) is never removable) is the
+// caller's job, because the caller can apply it before it builds the
+// batch. The probes run on one unmasked edge arena and one split-node
+// arena, built once: every probe is rearm + canonical-index mask +
+// early-exit max flow — two undos of the previous probe's writes per edge
+// instead of two topology rebuilds, which is where the P3 sweep spends its
+// time on large instances. A canceled sweep drains its workers, then
+// returns ctx.Err() and no slice.
 func EdgesRemovable(ctx context.Context, g *graph.Graph, edges []graph.Edge, kappa, lambda, workers int) ([]bool, error) {
 	idx, err := canonicalIndices(g, edges)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]bool, len(edges))
-	// Degree shortcut: an endpoint of degree <= max(kappa, lambda) caps
-	// the corresponding probe below its bar in G−e, so the verdict is
-	// false without a flow. On near-regular instances with λ = δ this
-	// skips almost every edge — the P3 sweep becomes a degree scan.
-	var probed []int
-	for i, e := range edges {
-		if d := min(g.Degree(e.U), g.Degree(e.V)); d > lambda && d > kappa {
-			probed = append(probed, i)
-		}
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if len(probed) == 0 {
+	out := make([]bool, len(edges))
+	if len(edges) == 0 {
 		return out, nil
 	}
 	n := g.Order()
@@ -228,7 +244,7 @@ func EdgesRemovable(ctx context.Context, g *graph.Graph, edges []graph.Edge, kap
 	defer putNetwork(eArena)
 	vArena := buildArena(ctx, 2*n, func(nw *network) { nw.buildVertexBase(g, n+1, noEdge) })
 	defer putNetwork(vArena)
-	runStealing(ctx, "flow.minimality.worker", len(probed), workers, func(w int, next func() (int, bool)) {
+	runPool(ctx, "flow.minimality.worker", len(edges), workers, func(w int, next func() (int, bool)) {
 		var eNet, vNet *network // copied lazily: a starved worker copies nothing
 		if w > 0 {
 			defer func() {
@@ -237,11 +253,10 @@ func EdgesRemovable(ctx context.Context, g *graph.Graph, edges []graph.Edge, kap
 			}()
 		}
 		for {
-			j, ok := next()
+			i, ok := next()
 			if !ok {
 				return
 			}
-			i := probed[j]
 			e, ci := edges[i], int(idx[i])
 			if e.U > e.V {
 				e.U, e.V = e.V, e.U

@@ -49,28 +49,24 @@ func getLanes(n int) *lanes {
 
 // sweepAllSources returns the maximum and the sum of the BFS distances
 // over all ordered node pairs, and whether every source reached the whole
-// graph. workers goroutines take whole source batches from a shared
-// counter, each on its own pooled lanes; the calling goroutine is one of
-// them. The optional done channel is polled every cancelStride nodes of a
-// BFS level. A canceled or disconnected sweep stops every worker and
-// reports connected=false, and its distances mean nothing; the caller
-// tells the two apart by its context.
+// graph. The FanOut workers take whole source batches, each on its own
+// pooled lanes. The optional done channel is polled every cancelStride
+// nodes of a BFS level. A canceled or disconnected sweep stops every
+// worker and reports connected=false, and its distances mean nothing; the
+// caller tells the two apart by its context.
 func (g *Graph) sweepAllSources(done <-chan struct{}, workers int) (maxDist int, total int64, connected bool) {
 	n := g.Order()
-	batches := (n + laneWidth - 1) / laneWidth
 	var (
-		next atomic.Int64
 		stop atomic.Bool
 		mu   sync.Mutex
-		wg   sync.WaitGroup
 	)
 	connected = true
-	work := func() {
+	FanOut((n+laneWidth-1)/laneWidth, workers, func(_ int, next func() (int, bool)) {
 		l := getLanes(n)
 		defer lanesPool.Put(l)
 		for !stop.Load() {
-			b := int(next.Add(1)) - 1
-			if b >= batches {
+			b, ok := next()
+			if !ok {
 				return
 			}
 			d, t, ok := g.laneBatch(l, b*laneWidth, done)
@@ -81,16 +77,7 @@ func (g *Graph) sweepAllSources(done <-chan struct{}, workers int) (maxDist int,
 				stop.Store(true)
 			}
 		}
-	}
-	for w := 1; w < ClampWorkers(workers, batches); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
+	})
 	return maxDist, total, connected
 }
 

@@ -6,21 +6,12 @@ import (
 )
 
 // Timer accumulates phase durations: how many times a phase ran and the
-// total nanoseconds spent inside it. It is the recording half of Span.
+// total nanoseconds spent inside it. The caller measures each duration
+// (typically from a trace.TimedSpan) and records it with Observe.
 type Timer struct {
 	name  string
 	count atomic.Int64
 	ns    atomic.Int64
-}
-
-// Start opens a span on the timer. When the sink is disabled the returned
-// span is inert and End is free, so timed phases cost nothing in the
-// default configuration. Span is a value type: no allocation either way.
-func (t *Timer) Start() Span {
-	if !enabled.Load() {
-		return Span{}
-	}
-	return Span{t: t, start: time.Now()}
 }
 
 // Observe records one externally measured duration.
@@ -32,7 +23,7 @@ func (t *Timer) Observe(d time.Duration) {
 	t.ns.Add(int64(d))
 }
 
-// Count returns the number of completed spans/observations.
+// Count returns the number of observations.
 func (t *Timer) Count() int64 { return t.count.Load() }
 
 // Total returns the accumulated duration.
@@ -40,22 +31,3 @@ func (t *Timer) Total() time.Duration { return time.Duration(t.ns.Load()) }
 
 // Name returns the registered metric name.
 func (t *Timer) Name() string { return t.name }
-
-// Span is one in-flight timed phase, produced by Timer.Start. The zero
-// Span (from a disabled sink) is valid and End on it is a no-op.
-type Span struct {
-	t     *Timer
-	start time.Time
-}
-
-// End closes the span, adding its wall time to the timer, and returns the
-// measured duration (0 for an inert span).
-func (s Span) End() time.Duration {
-	if s.t == nil {
-		return 0
-	}
-	d := time.Since(s.start)
-	s.t.count.Add(1)
-	s.t.ns.Add(int64(d))
-	return d
-}

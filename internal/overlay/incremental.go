@@ -26,8 +26,7 @@ var (
 // link edits — see experiments E15 and E27. Compared to Overlay, churn
 // figures here are exact edit counts of the surgery actually issued.
 type Incremental struct {
-	gr   Grower
-	gens int
+	gr Grower
 }
 
 // NewIncremental wraps a churn engine as an overlay.
@@ -43,9 +42,6 @@ func (o *Incremental) Size() int { return o.gr.N() }
 
 // K returns the connectivity target.
 func (o *Incremental) K() int { return o.gr.K() }
-
-// Generation returns how many membership events have been processed.
-func (o *Incremental) Generation() int { return o.gens }
 
 // Graph returns the frozen (immutable) view of the current topology.
 func (o *Incremental) Graph() *graph.Graph { return o.gr.Graph() }
@@ -68,7 +64,6 @@ func (o *Incremental) Join() (Churn, error) {
 	if err != nil {
 		return Churn{}, fmt.Errorf("overlay: incremental join: %w", err)
 	}
-	o.gens++
 	return o.deltaChurn(d), nil
 }
 
@@ -79,7 +74,6 @@ func (o *Incremental) Leave() (Churn, error) {
 	if err != nil {
 		return Churn{}, fmt.Errorf("overlay: incremental leave: %w", err)
 	}
-	o.gens++
 	return o.deltaChurn(d), nil
 }
 
@@ -93,11 +87,10 @@ func (o *Incremental) Apply(changes []core.Change) (Churn, error) {
 	if err != nil {
 		return c, fmt.Errorf("overlay: incremental batch: %w", err)
 	}
-	o.gens += len(changes)
 	return c, nil
 }
 
 // Broadcast floods from source over the current topology under failures.
 func (o *Incremental) Broadcast(source int, f flood.Failures) (*flood.Result, error) {
-	return flood.Run(o.gr.Snapshot(), source, f)
+	return flood.Run(o.gr.Graph(), source, f)
 }

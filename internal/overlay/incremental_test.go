@@ -37,8 +37,8 @@ func TestIncrementalJoinAccounting(t *testing.T) {
 				i, c.Kept, c.Added, o.Graph().Size())
 		}
 	}
-	if o.Size() != 26 || o.Generation() != 20 {
-		t.Fatalf("size/gen = %d/%d, want 26/20", o.Size(), o.Generation())
+	if o.Size() != 26 {
+		t.Fatalf("size = %d, want 26", o.Size())
 	}
 }
 

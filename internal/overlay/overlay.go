@@ -39,7 +39,6 @@ type Overlay struct {
 	k        int
 	topology TopologyFunc
 	g        *graph.Graph
-	gen      int
 }
 
 // New creates an overlay of initial members using the given topology.
@@ -56,9 +55,6 @@ func New(k, initial int, topology TopologyFunc) (*Overlay, error) {
 
 // Size returns the current number of members.
 func (o *Overlay) Size() int { return o.g.Order() }
-
-// Generation returns how many rebuilds have occurred.
-func (o *Overlay) Generation() int { return o.gen }
 
 // Graph returns the current topology. Frozen graphs are immutable, so the
 // caller shares the view without a defensive copy.
@@ -80,7 +76,6 @@ func (o *Overlay) resize(n int) (Churn, error) {
 	}
 	c := diff(o.g, ng)
 	o.g = ng
-	o.gen++
 	return c, nil
 }
 

@@ -52,9 +52,6 @@ func TestJoinGrowsAndStaysLHG(t *testing.T) {
 	if o.Size() != 16 {
 		t.Fatalf("Size = %d, want 16", o.Size())
 	}
-	if o.Generation() != 10 {
-		t.Fatalf("Generation = %d, want 10", o.Generation())
-	}
 	r, err := check.Verify(context.Background(), o.Graph(), 3, check.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)

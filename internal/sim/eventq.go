@@ -63,21 +63,6 @@ func (q *EventQueue) Run(maxEvents int64) int64 {
 	return n
 }
 
-// RunUntil drains events with Time <= deadline and returns the number of
-// events executed. The simulated clock ends at deadline even if the queue
-// empties earlier.
-func (q *EventQueue) RunUntil(deadline int64) int64 {
-	var n int64
-	for len(q.h) > 0 && q.h[0].Time <= deadline {
-		q.Step()
-		n++
-	}
-	if q.now < deadline {
-		q.now = deadline
-	}
-	return n
-}
-
 type eventHeap []*Event
 
 func (h eventHeap) Len() int { return len(h) }

@@ -199,24 +199,6 @@ func TestEventQueueRunBudget(t *testing.T) {
 	}
 }
 
-func TestEventQueueRunUntil(t *testing.T) {
-	var q EventQueue
-	count := 0
-	for i := 1; i <= 10; i++ {
-		q.At(int64(i), func() { count++ })
-	}
-	if n := q.RunUntil(5); n != 5 || count != 5 {
-		t.Fatalf("RunUntil(5) executed %d, want 5", n)
-	}
-	if q.Now() != 5 {
-		t.Fatalf("Now = %d, want 5", q.Now())
-	}
-	q.RunUntil(20)
-	if count != 10 || q.Now() != 20 {
-		t.Fatalf("count=%d now=%d, want 10 and 20", count, q.Now())
-	}
-}
-
 func TestEventQueueStepEmpty(t *testing.T) {
 	var q EventQueue
 	if q.Step() {

@@ -100,7 +100,7 @@ func TestScaleGrowerToThousands(t *testing.T) {
 		// verifier is O(n·maxflow); every-step checks live in the core
 		// suite at small n).
 		if gr.N() == 600 {
-			ok, err := lhg.IsLHG(context.Background(), gr.Snapshot(), 4)
+			ok, err := lhg.IsLHG(context.Background(), gr.Graph(), 4)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -112,7 +112,7 @@ func TestScaleGrowerToThousands(t *testing.T) {
 	if maxChurn > 3*4*4 {
 		t.Fatalf("grower churn %d exceeded O(k²) on the way to n=3000", maxChurn)
 	}
-	if !gr.Snapshot().Connected() {
+	if !gr.Graph().Connected() {
 		t.Fatal("grower graph disconnected at n=3000")
 	}
 }
