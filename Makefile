@@ -69,8 +69,10 @@ endef
 # tracks the incremental re-verification speedup under ~1% membership
 # churn, and finally the E29 guarded-vs-unguarded lossy-broadcast pair into
 # BENCH_flood.json, which tracks the message cost of storm control
-# (frames_per_op against the static ceiling). Each ledger also has its own
-# target (bench-verify, bench-reconfigure, bench-flood).
+# (frames_per_op against the static ceiling), with the clean reliable
+# broadcast on K-DIAMOND(64,4) beside it (the per-broadcast time and
+# allocations of the frame codec, acks and dedup). Each ledger also has its
+# own target (bench-verify, bench-reconfigure, bench-flood).
 bench: bench-verify bench-reconfigure bench-flood
 
 bench-verify:
@@ -91,6 +93,8 @@ bench-reconfigure:
 bench-flood:
 	$(GO) test -run '^$$' -bench '^BenchmarkFloodCost(Guarded|Unguarded)$$' \
 		-benchmem -benchtime=3x . | tee bench_flood.out
+	$(GO) test -run '^$$' -bench '^BenchmarkNetfloodBroadcast$$' \
+		-benchmem -benchtime=1000x . | tee -a bench_flood.out
 	@$(bench2json) bench_flood.out > BENCH_flood.json
 	@rm -f bench_flood.out
 	@echo "wrote BENCH_flood.json"

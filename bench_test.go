@@ -926,3 +926,38 @@ func BenchmarkFloodCostGuarded(b *testing.B) { benchmarkFloodCost(b, true) }
 
 // BenchmarkFloodCostUnguarded covers E29 unguarded: the same storm, no caps.
 func BenchmarkFloodCostUnguarded(b *testing.B) { benchmarkFloodCost(b, false) }
+
+// BenchmarkNetfloodBroadcast is the clean-broadcast row of
+// BENCH_flood.json: a reliable loopback-TCP cluster over K-DIAMOND(64,4)
+// with no injected faults, one closed-loop broadcast per op, each waiting
+// until all 64 nodes delivered it. It prices what every broadcast pays —
+// 2m frames, their acks, the frame codec and the dedup — with the cluster
+// set up once outside the timer.
+func BenchmarkNetfloodBroadcast(b *testing.B) {
+	g := buildOrFatal(b, lhg.KDiamond, 64, 4)
+	c, err := netflood.StartWithOptions(g, netflood.Options{Reliable: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Shutdown()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		msg, err := c.Broadcast(i%g.Order(), "bench")
+		if err != nil {
+			b.Fatal(err)
+		}
+		timeout := time.NewTimer(5 * time.Second)
+		for got := 0; got < g.Order(); {
+			select {
+			case m := <-c.Deliveries():
+				if m.Src == msg.Src && m.Seq == msg.Seq {
+					got++
+				}
+			case <-timeout.C:
+				b.Fatalf("broadcast %d: %d of %d nodes delivered", i, got, g.Order())
+			}
+		}
+		timeout.Stop()
+	}
+}

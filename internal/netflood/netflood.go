@@ -1,10 +1,11 @@
 // Package netflood runs the flooding protocol over real TCP sockets on the
 // loopback interface: one node per topology vertex, one connection per
-// edge, length-prefixed JSON frames, duplicate suppression, and forwarding
-// on every link — the deployment shape of the paper's protocol, in
-// miniature. The cluster supports *live reconfiguration* (AddNode, Connect,
-// Disconnect, Apply), so the incremental growers of package core can drive
-// a real socket overlay one admission at a time.
+// edge, length-prefixed binary frames, duplicate suppression by a
+// per-origin sequence watermark, and forwarding on every link — the
+// deployment shape of the paper's protocol, in miniature. The cluster
+// supports *live reconfiguration* (AddNode, Connect, Disconnect, Apply), so
+// the incremental growers of package core can drive a real socket overlay
+// one admission at a time.
 //
 // Two fault models are supported, selected by Options:
 //
@@ -27,11 +28,8 @@ package netflood
 import (
 	"bufio"
 	"context"
-	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -90,23 +88,51 @@ type Message struct {
 	Budget  int    `json:"budget,omitempty"`
 }
 
-// frame is the wire envelope: a hello (link handshake identifying the
-// dialing node), a flooded message, or — in reliable mode — an ack whose
-// Msg carries only the (src, seq) identity being acknowledged.
-type frame struct {
-	Kind string   `json:"kind"` // "hello", "msg" or "ack"
-	From int      `json:"from,omitempty"`
-	Msg  *Message `json:"msg,omitempty"`
-}
-
-// id is the dedup key of a message.
+// id is the identity of a message: the key of a link's pending table.
 type id struct {
 	src, seq int
 }
 
-// maxFrame bounds a frame to keep a corrupted length prefix from
-// allocating unbounded memory.
-const maxFrame = 1 << 20
+// dedup records which messages a node has delivered, one entry per origin.
+type dedup map[int]*origin
+
+// origin is one source's dedup state. Every seq in [0, next) has been
+// delivered; later holds the other delivered seqs (past a gap, or negative).
+// Delivering next absorbs the run of later seqs that follows it; a gap that
+// never fills keeps the seqs past it, as a set of delivered ids would.
+type origin struct {
+	next  int
+	later map[int]struct{}
+}
+
+// first marks (src, seq) delivered and reports whether it was new.
+func (d dedup) first(src, seq int) bool {
+	o := d[src]
+	if o == nil {
+		o = &origin{}
+		d[src] = o
+	}
+	if _, dup := o.later[seq]; dup || (0 <= seq && seq < o.next) {
+		return false
+	}
+	if seq != o.next {
+		if o.later == nil {
+			o.later = make(map[int]struct{})
+		}
+		o.later[seq] = struct{}{}
+		return true
+	}
+	for o.next++; len(o.later) > 0; o.next++ {
+		if _, ok := o.later[o.next]; !ok {
+			break
+		}
+		delete(o.later, o.next)
+	}
+	if len(o.later) == 0 {
+		o.later = nil
+	}
+	return true
+}
 
 // node is one process: a TCP listener plus one registered connection per
 // incident topology edge.
@@ -117,7 +143,7 @@ type node struct {
 	mu       sync.Mutex
 	peers    map[int]*peerConn // remote node id -> connection
 	changed  chan struct{}     // closed and replaced whenever peers gains an entry
-	seen     map[id]Message
+	seen     dedup
 	order    []Message
 	nextSeq  int
 	delivery chan<- Message
@@ -180,13 +206,12 @@ func StartWithOptions(g *graph.Graph, opts Options) (*Cluster, error) {
 	if n == 0 {
 		return nil, errors.New("netflood: empty topology")
 	}
-	opts.withDefaults()
 	if opts.DeliveryBuffer <= 0 {
 		// Deliveries across the whole cluster; sized generously so reader
 		// goroutines never fall behind in tests.
 		opts.DeliveryBuffer = 64 * n
 	}
-	c := &Cluster{opts: opts, deliveries: make(chan Message, opts.DeliveryBuffer)}
+	c := StartEmptyWithOptions(opts)
 	for i := 0; i < n; i++ {
 		if _, err := c.AddNode(); err != nil {
 			c.Shutdown()
@@ -238,7 +263,7 @@ func (c *Cluster) AddNode() (int, error) {
 		ln:       ln,
 		peers:    make(map[int]*peerConn),
 		changed:  make(chan struct{}),
-		seen:     make(map[id]Message),
+		seen:     make(dedup),
 		delivery: c.deliveries,
 		rng:      sim.NewRNG(c.opts.Seed ^ (uint64(idx+1) * 0x9e3779b97f4a7c15)),
 		retrWake: make(chan struct{}, 1),
@@ -345,22 +370,19 @@ func (c *Cluster) Apply(delta core.EdgeDelta) error {
 }
 
 func (c *Cluster) pair(u, v int) (*node, *node, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if u < 0 || v < 0 || u >= len(c.nodes) || v >= len(c.nodes) || u == v {
+	nu, nv := c.lookup(u), c.lookup(v)
+	if nu == nil || nv == nil || u == v {
 		return nil, nil, fmt.Errorf("netflood: bad link (%d,%d)", u, v)
 	}
-	return c.nodes[u], c.nodes[v], nil
+	return nu, nv, nil
 }
 
 // nodeAddr returns the listener address of node idx, for reconnection.
 func (c *Cluster) nodeAddr(idx int) (string, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if idx < 0 || idx >= len(c.nodes) {
-		return "", false
+	if nd := c.lookup(idx); nd != nil {
+		return nd.ln.Addr().String(), true
 	}
-	return c.nodes[idx].ln.Addr().String(), true
+	return "", false
 }
 
 // wrapConn applies the cluster's fault plan to writes from node `from` on
@@ -382,13 +404,13 @@ func (c *Cluster) wrapConn(from, to int, conn net.Conn) net.Conn {
 
 // Broadcast floods a payload from node src.
 func (c *Cluster) Broadcast(src int, payload string) (Message, error) {
-	c.mu.Lock()
-	if src < 0 || src >= len(c.nodes) {
-		c.mu.Unlock()
+	nd := c.lookup(src)
+	if nd == nil {
 		return Message{}, fmt.Errorf("netflood: unknown node %d", src)
 	}
-	nd := c.nodes[src]
-	c.mu.Unlock()
+	if len(payload) > maxFrame-maxHeader {
+		return Message{}, fmt.Errorf("netflood: payload of %d bytes exceeds the frame limit", len(payload))
+	}
 	nd.mu.Lock()
 	msg := Message{Src: src, Seq: nd.nextSeq, Payload: payload, Budget: c.opts.HopBudget}
 	nd.nextSeq++
@@ -414,16 +436,24 @@ func (c *Cluster) Deliveries() <-chan Message { return c.deliveries }
 
 // Delivered returns the messages node idx has delivered so far, in order.
 func (c *Cluster) Delivered(idx int) []Message {
-	c.mu.Lock()
-	if idx < 0 || idx >= len(c.nodes) {
-		c.mu.Unlock()
+	nd := c.lookup(idx)
+	if nd == nil {
 		return nil
 	}
-	nd := c.nodes[idx]
-	c.mu.Unlock()
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
 	return append([]Message(nil), nd.order...)
+}
+
+// deliveredCount is len(c.Delivered(idx)) without the copy.
+func (c *Cluster) deliveredCount(idx int) int {
+	nd := c.lookup(idx)
+	if nd == nil {
+		return 0
+	}
+	nd.mu.Lock()
+	defer nd.mu.Unlock()
+	return len(nd.order)
 }
 
 // WaitDelivered blocks until every listed node has delivered at least want
@@ -435,7 +465,7 @@ func (c *Cluster) WaitDelivered(nodes []int, want int, timeout time.Duration) bo
 	for {
 		done := true
 		for _, v := range nodes {
-			if len(c.Delivered(v)) < want {
+			if c.deliveredCount(v) < want {
 				done = false
 				break
 			}
@@ -454,14 +484,8 @@ func (c *Cluster) WaitDelivered(nodes []int, want int, timeout time.Duration) bo
 // process crash. Returns false if idx is out of range or already down.
 // Safe to call concurrently with Broadcast, reconfiguration and Shutdown.
 func (c *Cluster) CrashNode(idx int) bool {
-	c.mu.Lock()
-	if idx < 0 || idx >= len(c.nodes) {
-		c.mu.Unlock()
-		return false
-	}
-	nd := c.nodes[idx]
-	c.mu.Unlock()
-	if !nd.shutdown() {
+	nd := c.lookup(idx)
+	if nd == nil || !nd.shutdown() {
 		return false
 	}
 	mNetCrashes.Inc()
@@ -470,14 +494,18 @@ func (c *Cluster) CrashNode(idx int) bool {
 
 // Alive reports whether node idx is still running.
 func (c *Cluster) Alive(idx int) bool {
+	nd := c.lookup(idx)
+	return nd != nil && nd.alive()
+}
+
+// lookup returns node idx, or nil if idx is out of range.
+func (c *Cluster) lookup(idx int) *node {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if idx < 0 || idx >= len(c.nodes) {
-		c.mu.Unlock()
-		return false
+		return nil
 	}
-	nd := c.nodes[idx]
-	c.mu.Unlock()
-	return nd.alive()
+	return c.nodes[idx]
 }
 
 // Shutdown closes every listener and connection and waits for all node
@@ -645,19 +673,13 @@ func (n *node) handle(msg Message) {
 	if !n.alive() {
 		return
 	}
-	key := id{src: msg.Src, seq: msg.Seq}
 	n.mu.Lock()
-	if _, dup := n.seen[key]; dup {
+	if !n.seen.first(msg.Src, msg.Seq) {
 		n.mu.Unlock()
 		mNetDuplicates.Inc()
 		return
 	}
-	n.seen[key] = msg
 	n.order = append(n.order, msg)
-	peers := make([]*peerConn, 0, len(n.peers))
-	for _, p := range n.peers {
-		peers = append(peers, p)
-	}
 	n.mu.Unlock()
 	mNetDelivered.Inc()
 	hNetHops.Observe(int64(msg.Hops))
@@ -690,7 +712,9 @@ func (n *node) handle(msg Message) {
 		}
 		m.Budget = msg.Budget - 1
 	}
-	for _, p := range peers {
+	// One encoding serves every link; nothing writes to its bytes.
+	wire, err := encodeFrame(frame{Kind: "msg", Msg: &m})
+	for _, p := range n.links() {
 		if n.c.opts.Reliable {
 			n.track(p, m)
 		}
@@ -698,8 +722,21 @@ func (n *node) handle(msg Message) {
 		// frame (the crash model); in reliable mode the retransmit path
 		// owns recovery.
 		mNetFramesSent.Inc()
-		_ = writeFrame(p, frame{Kind: "msg", Msg: &m}, n.c.opts.WriteTimeout)
+		if err == nil {
+			_ = p.write(wire, n.c.opts.WriteTimeout)
+		}
 	}
+}
+
+// links snapshots the registered links, so frames go out without n.mu held.
+func (n *node) links() []*peerConn {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	peers := make([]*peerConn, 0, len(n.peers))
+	for _, p := range n.peers {
+		peers = append(peers, p)
+	}
+	return peers
 }
 
 // shutdown closes the node exactly once, reporting whether this call did
@@ -710,13 +747,7 @@ func (n *node) shutdown() bool {
 		ran = true
 		close(n.closed)
 		_ = n.ln.Close()
-		n.mu.Lock()
-		peers := make([]*peerConn, 0, len(n.peers))
-		for _, p := range n.peers {
-			peers = append(peers, p)
-		}
-		n.mu.Unlock()
-		for _, p := range peers {
+		for _, p := range n.links() {
 			p.mu.Lock()
 			conn := p.conn
 			p.mu.Unlock()
@@ -726,75 +757,4 @@ func (n *node) shutdown() bool {
 		}
 	})
 	return ran
-}
-
-// writeFrame writes one frame on the link, holding the peer's write lock so
-// frames never interleave, with a per-frame write deadline.
-func writeFrame(p *peerConn, f frame, timeout time.Duration) error {
-	data, err := json.Marshal(f)
-	if err != nil {
-		return err
-	}
-	buf := make([]byte, 4+len(data))
-	binary.BigEndian.PutUint32(buf[:4], uint32(len(data)))
-	copy(buf[4:], data)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.conn == nil || p.dead {
-		return errors.New("netflood: link down")
-	}
-	if timeout > 0 {
-		_ = p.conn.SetWriteDeadline(time.Now().Add(timeout))
-	}
-	if _, err := p.conn.Write(buf); err != nil {
-		var ne net.Error
-		if errors.As(err, &ne) && ne.Timeout() {
-			mNetWriteTOs.Inc()
-		}
-		return err
-	}
-	return nil
-}
-
-// writeFrameTo writes one frame directly on a conn (handshake path, before
-// a peerConn exists), with the same single-write framing and deadline.
-func writeFrameTo(conn net.Conn, f frame, timeout time.Duration) error {
-	data, err := json.Marshal(f)
-	if err != nil {
-		return err
-	}
-	buf := make([]byte, 4+len(data))
-	binary.BigEndian.PutUint32(buf[:4], uint32(len(data)))
-	copy(buf[4:], data)
-	if timeout > 0 {
-		_ = conn.SetWriteDeadline(time.Now().Add(timeout))
-	}
-	if _, err := conn.Write(buf); err != nil {
-		var ne net.Error
-		if errors.As(err, &ne) && ne.Timeout() {
-			mNetWriteTOs.Inc()
-		}
-		return err
-	}
-	return nil
-}
-
-func readFrame(r io.Reader) (frame, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return frame{}, err
-	}
-	size := binary.BigEndian.Uint32(lenBuf[:])
-	if size > maxFrame {
-		return frame{}, fmt.Errorf("netflood: frame of %d bytes exceeds limit", size)
-	}
-	data := make([]byte, size)
-	if _, err := io.ReadFull(r, data); err != nil {
-		return frame{}, err
-	}
-	var f frame
-	if err := json.Unmarshal(data, &f); err != nil {
-		return frame{}, fmt.Errorf("netflood: decode frame: %w", err)
-	}
-	return f, nil
 }

@@ -87,8 +87,7 @@ func (n *node) wakeRetransmit() {
 // sendAck acknowledges one received message copy on the link it arrived on.
 func (n *node) sendAck(p *peerConn, m Message) {
 	mNetAcksSent.Inc()
-	ack := Message{Src: m.Src, Seq: m.Seq}
-	_ = writeFrame(p, frame{Kind: "ack", Msg: &ack}, n.c.opts.WriteTimeout)
+	_ = writeFrame(p, frame{Kind: "ack", Msg: &m}, n.c.opts.WriteTimeout)
 }
 
 // handleAck settles the pending entry the ack names and observes its RTT.
@@ -158,13 +157,7 @@ func (n *node) retransmitDue(now time.Time) time.Time {
 			nextWake = t
 		}
 	}
-	n.mu.Lock()
-	peers := make([]*peerConn, 0, len(n.peers))
-	for _, p := range n.peers {
-		peers = append(peers, p)
-	}
-	n.mu.Unlock()
-	for _, p := range peers {
+	for _, p := range n.links() {
 		var resend []Message
 		suspect := false
 		exhausted := 0
@@ -315,18 +308,10 @@ func (n *node) repairPeer(p *peerConn, now time.Time) {
 // healthyPeers counts the live links this node holds besides the one to
 // `excluding` — the remaining path diversity the escalation gate consults.
 func (n *node) healthyPeers(excluding int) int {
-	n.mu.Lock()
-	peers := make([]*peerConn, 0, len(n.peers))
-	for _, p := range n.peers {
-		if p.remote != excluding {
-			peers = append(peers, p)
-		}
-	}
-	n.mu.Unlock()
 	healthy := 0
-	for _, p := range peers {
+	for _, p := range n.links() {
 		p.mu.Lock()
-		if !p.dead && p.conn != nil {
+		if p.remote != excluding && !p.dead && p.conn != nil {
 			healthy++
 		}
 		p.mu.Unlock()
