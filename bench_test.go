@@ -357,13 +357,15 @@ func BenchmarkBFSSteadyStateMetricsOn(b *testing.B) {
 	}
 }
 
-// BenchmarkEdgeProbeSteadyStateMetricsOn is BenchmarkEdgeProbeSteadyState
-// with the metrics sink enabled: per-probe counters on the hottest
-// verification path (a handful of atomic adds per probe, 0 allocs/op).
-func BenchmarkEdgeProbeSteadyStateMetricsOn(b *testing.B) {
-	g := buildOrFatal(b, lhg.KDiamond, 1024, 4)
-	e := g.Edges()[0]
-	sinkBool = flow.EdgeIsRemovable(g, e, 4, 4) // warm the network pool
+// BenchmarkEdgeProbeFlowMetricsOn is BenchmarkEdgeProbeFlow with the
+// metrics sink enabled: the probe runs both flows, so it pays the live
+// flow.maxflow.* and flow.pool.* counters of the verification hot path
+// (a handful of atomic adds per probe, 0 allocs/op).
+func BenchmarkEdgeProbeFlowMetricsOn(b *testing.B) {
+	g, e := chordedKDiamond(b, 1024)
+	if !flow.EdgeIsRemovable(g, e, 4, 4) { // also warms the network pool
+		b.Fatalf("chord %v of K-DIAMOND(1024,4) is not removable", e)
+	}
 	lhg.EnableMetrics()
 	defer func() {
 		lhg.DisableMetrics()

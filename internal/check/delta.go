@@ -68,7 +68,6 @@ var (
 	mDeltaFastPaths = obs.NewCounter("check.delta.fastpath")
 	mDeltaFallbacks = obs.NewCounter("check.delta.fallbacks")
 	mDeltaPairs     = obs.NewCounter("check.delta.pair_probes")
-	tPhaseDelta     = obs.NewTimer("check.phase.delta_probes")
 )
 
 // deltaProbeGate bounds the localized campaign: if the planned pair count
@@ -203,7 +202,7 @@ func deltaFastPath(ctx context.Context, prevG *graph.Graph, prev *Report, d grap
 	// full campaign.
 	ph := phaseRunner{ctx: ctx, spanPrefix: "check.", phases: &r.Phases}
 	healthy := false
-	if err := ph.run("delta-probes", tPhaseDelta, func(pctx context.Context) error {
+	if err := ph.run("delta-probes", func(pctx context.Context) error {
 		mDeltaPairs.Add(int64(len(pairs)))
 		var err error
 		healthy, err = flow.VertexCutsAtLeast(pctx, next, pairs, c, workers)

@@ -22,9 +22,8 @@ import (
 // The phases: a linear pass (degrees, connectedness, ecc(0), O(n+m)), then
 // the exact "kappa" and "lambda" sweeps.
 var (
-	mScreenRuns        = obs.NewCounter("check.screen.runs")
-	mScreenRefuted     = obs.NewCounter("check.screen.refuted")
-	tPhaseScreenLinear = obs.NewTimer("check.screen.phase.linear")
+	mScreenRuns    = obs.NewCounter("check.screen.runs")
+	mScreenRefuted = obs.NewCounter("check.screen.refuted")
 )
 
 // ScreenVerdict is the outcome of one screened property. P1 and P2 are
@@ -109,7 +108,7 @@ func Screen(ctx context.Context, g *graph.Graph, k, workers int) (*ScreenReport,
 
 	ph := phaseRunner{ctx: ctx, spanPrefix: "check.screen.", phases: &r.Phases}
 
-	if err := ph.run("linear", tPhaseScreenLinear, func(context.Context) error {
+	if err := ph.run("linear", func(context.Context) error {
 		r.MinDegree, _ = g.MinDegree()
 		r.MaxDegree, _ = g.MaxDegree()
 		r.Regular = g.IsRegular(k)

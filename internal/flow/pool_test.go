@@ -8,12 +8,13 @@ import (
 
 	"lhg/internal/graph"
 	"lhg/internal/obs"
+	"lhg/internal/obs/trace"
 )
 
 // The probe sweeps' use of the pool (runPool over graph.FanOut, whose
 // exactly-once contract is tested in internal/graph): a worker stuck
 // behind expensive probes does not strand the rest of the sweep, every
-// worker is observed by the busy timer, and because each index gets
+// worker runs under its own trace span, and because each index gets
 // exactly one probe no matter who runs it, probe-counter totals are
 // identical for serial and parallel sweeps.
 
@@ -30,14 +31,16 @@ func withFlowSink(t *testing.T) {
 // TestSweepSkewedCostsNoStarvation makes the first quarter of the
 // indices pathologically slow and asserts that they spread over the pool
 // instead of piling up on the caller's worker: some run on other workers,
-// every worker goes through the busy timer, and no index is lost.
+// every worker records its own span, and no index is lost.
 func TestSweepSkewedCostsNoStarvation(t *testing.T) {
-	withFlowSink(t)
+	trace.Enable()
+	t.Cleanup(trace.Disable)
+	rec := trace.NewRecorder(1024)
+	ctx, root := trace.StartRoot(context.Background(), "flow.test.sweep", trace.WithRecorder(rec))
 	const total, workers = 400, 4
-	busy0 := tWorkerBusy.Count()
 	var ran [total]atomic.Int32
 	var byOthers atomic.Int32
-	runPool(context.Background(), "flow.test.worker", total, workers,
+	runPool(ctx, "flow.test.worker", total, workers,
 		func(w int, next func() (int, bool)) {
 			for {
 				i, ok := next()
@@ -62,8 +65,15 @@ func TestSweepSkewedCostsNoStarvation(t *testing.T) {
 	if byOthers.Load() == 0 {
 		t.Fatal("no slow probe ran on a worker other than the caller's")
 	}
-	if got := tWorkerBusy.Count() - busy0; got != workers {
-		t.Fatalf("worker busy timer observed %d workers, want %d (an unobserved worker is an unaccounted stall)", got, workers)
+	root.End()
+	spans := 0
+	for _, r := range rec.Snapshot() {
+		if r.Kind == trace.KindSpan && r.Name == "flow.test.worker" {
+			spans++
+		}
+	}
+	if spans != workers {
+		t.Fatalf("recorded %d worker spans, want %d (an unrecorded worker is an unaccounted stall)", spans, workers)
 	}
 }
 

@@ -11,12 +11,10 @@ import (
 )
 
 // Worker-pool telemetry: spawned counts pool members across all fan-out
-// drivers; busy accumulates the wall time of each worker's span.
-// Utilization over a phase is busy / (workers × phase wall time).
-var (
-	mWorkersSpawned = obs.NewCounter("flow.workers.spawned")
-	tWorkerBusy     = obs.NewTimer("flow.workers.busy")
-)
+// drivers. Worker time lives in the trace only: each worker of a parallel
+// sweep runs under its own span, so utilization over a phase is the sum of
+// its worker spans' durations / (workers × the phase span's duration).
+var mWorkersSpawned = obs.NewCounter("flow.workers.spawned")
 
 // probeProgressEvery is the probe-batch granularity of the per-worker
 // "probe-progress" trace events: one point event per this many completed
@@ -55,9 +53,9 @@ func probeProgress(sp trace.Span, i, total int) {
 // runPool runs body on the graph.FanOut workers of a probe sweep of total
 // probes; next stops handing out probes once ctx fires. With more than one
 // worker, each worker runs under its own span (spanName, attributed with
-// the worker id so the Chrome export gives it its own lane), emits the
-// batched probe-progress events, and adds the span's wall time to
-// flow.workers.busy. A one-worker sweep runs inline with no worker span.
+// the worker id so the Chrome export gives it its own lane) and emits the
+// batched probe-progress events; with tracing off the span is inert and no
+// clock is read. A one-worker sweep runs inline with no worker span.
 func runPool(ctx context.Context, spanName string, total, workers int, body func(w int, next func() (int, bool))) {
 	workers = graph.ClampWorkers(workers, total)
 	if workers > 1 {
@@ -66,9 +64,9 @@ func runPool(ctx context.Context, spanName string, total, workers int, body func
 	graph.FanOut(total, workers, func(w int, next func() (int, bool)) {
 		var wsp trace.Span
 		if workers > 1 {
-			_, ts := trace.StartTimed(ctx, spanName)
-			defer func() { tWorkerBusy.Observe(ts.End()) }()
-			if wsp = ts.Span(); wsp.Live() {
+			_, wsp = trace.StartSpan(ctx, spanName)
+			defer wsp.End()
+			if wsp.Live() {
 				wsp.SetAttr(trace.Int("worker", int64(w)))
 			}
 		}

@@ -12,13 +12,6 @@ import (
 	"time"
 )
 
-// TimerSnapshot is a point-in-time copy of a timer.
-type TimerSnapshot struct {
-	Count   int64   `json:"count"`
-	TotalNs int64   `json:"total_ns"`
-	Ms      float64 `json:"ms"`
-}
-
 // Report is a full snapshot of a registry, the shape the -metrics flag
 // dumps as JSON.
 type Report struct {
@@ -29,7 +22,6 @@ type Report struct {
 	Counters   map[string]int64             `json:"counters"`
 	Gauges     map[string]int64             `json:"gauges"`
 	Histograms map[string]HistogramSnapshot `json:"histograms"`
-	Timers     map[string]TimerSnapshot     `json:"timers"`
 }
 
 // timeNow is the clock Snapshot stamps reports with; tests override it to
@@ -46,7 +38,6 @@ func (r *Registry) Snapshot() Report {
 		Counters:   make(map[string]int64),
 		Gauges:     make(map[string]int64),
 		Histograms: make(map[string]HistogramSnapshot),
-		Timers:     make(map[string]TimerSnapshot),
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -58,14 +49,6 @@ func (r *Registry) Snapshot() Report {
 	}
 	for name, h := range r.histograms {
 		rep.Histograms[name] = h.snapshot()
-	}
-	for name, t := range r.timers {
-		total := t.ns.Load()
-		rep.Timers[name] = TimerSnapshot{
-			Count:   t.count.Load(),
-			TotalNs: total,
-			Ms:      float64(total) / 1e6,
-		}
 	}
 	return rep
 }
@@ -91,8 +74,8 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 func WriteJSON(w io.Writer) error { return Default.WriteJSON(w) }
 
 // WritePrometheus renders the registry in the Prometheus text exposition
-// format (version 0.0.4): counters and timers as counter families, gauges
-// as gauges, histograms with cumulative le buckets. Metric names are the
+// format (version 0.0.4): counters as counter families, gauges as
+// gauges, histograms with cumulative le buckets. Metric names are the
 // registry names with dots mapped to underscores under an lhg_ prefix.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	rep := r.Snapshot()
@@ -104,12 +87,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	for _, name := range sortedKeys(rep.Gauges) {
 		p := promName(name)
 		fmt.Fprintf(&b, "# TYPE %s gauge\n%s %d\n", p, p, rep.Gauges[name])
-	}
-	for _, name := range sortedKeys(rep.Timers) {
-		t := rep.Timers[name]
-		p := promName(name) + "_seconds"
-		fmt.Fprintf(&b, "# TYPE %s summary\n", p)
-		fmt.Fprintf(&b, "%s_sum %g\n%s_count %d\n", p, float64(t.TotalNs)/1e9, p, t.Count)
 	}
 	for _, name := range sortedKeys(rep.Histograms) {
 		h := rep.Histograms[name]

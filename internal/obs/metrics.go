@@ -125,14 +125,13 @@ type HistogramSnapshot struct {
 }
 
 // Registry holds named metrics. The process-wide Default registry is what
-// NewCounter/NewGauge/NewHistogram/NewTimer register into and what the
+// NewCounter/NewGauge/NewHistogram register into and what the
 // exporters read.
 type Registry struct {
 	mu         sync.Mutex
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
-	timers     map[string]*Timer
 }
 
 // Default is the process-wide registry.
@@ -144,7 +143,6 @@ func NewRegistry() *Registry {
 		counters:   make(map[string]*Counter),
 		gauges:     make(map[string]*Gauge),
 		histograms: make(map[string]*Histogram),
-		timers:     make(map[string]*Timer),
 	}
 }
 
@@ -161,10 +159,6 @@ func NewGauge(name string) *Gauge { return Default.Gauge(name) }
 func NewHistogram(name string, bounds ...int64) *Histogram {
 	return Default.Histogram(name, bounds...)
 }
-
-// NewTimer registers (or returns the existing) timer in the Default
-// registry.
-func NewTimer(name string) *Timer { return Default.Timer(name) }
 
 // Counter returns the counter registered under name, creating it if new.
 func (r *Registry) Counter(name string) *Counter {
@@ -214,18 +208,6 @@ func (r *Registry) Histogram(name string, bounds ...int64) *Histogram {
 	return h
 }
 
-// Timer returns the timer registered under name, creating it if new.
-func (r *Registry) Timer(name string) *Timer {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if t, ok := r.timers[name]; ok {
-		return t
-	}
-	t := &Timer{name: name}
-	r.timers[name] = t
-	return t
-}
-
 // Reset zeroes every metric in the registry. Registered handles stay valid
 // (instrumented packages hold them in package vars), only the accumulated
 // values are cleared. Intended for differential tests and between-run CLI
@@ -245,10 +227,6 @@ func (r *Registry) Reset() {
 		for i := range h.counts {
 			h.counts[i].Store(0)
 		}
-	}
-	for _, t := range r.timers {
-		t.count.Store(0)
-		t.ns.Store(0)
 	}
 }
 

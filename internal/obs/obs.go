@@ -1,6 +1,7 @@
 // Package obs is the observability layer of the repository: counters,
-// gauges and fixed-bucket histograms, a phase-scoped trace timer, and a
-// throttled progress reporter for long sweeps.
+// gauges and fixed-bucket histograms, and a throttled progress reporter
+// for long sweeps. Durations are not a metric kind: each is measured once,
+// by a trace span (package trace) or a latency histogram.
 //
 // The design constraint is the hot path. Verification runs thousands of
 // sub-microsecond probes per second (see BenchmarkBFSSteadyState and

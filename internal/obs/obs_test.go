@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // withSink enables the sink on a clean registry state for one test and
@@ -102,28 +101,21 @@ func TestHistogramBadBoundsPanics(t *testing.T) {
 	NewHistogram("test.hist.bad", 5, 1)
 }
 
-// TestTimerSpan records one measured span through Observe: the timer
-// counts it and accumulates its duration.
-func TestTimerSpan(t *testing.T) {
-	withSink(t)
-	tm := NewTimer("test.timer")
-	start := time.Now()
-	time.Sleep(time.Millisecond)
-	d := time.Since(start)
-	tm.Observe(d)
-	if tm.Count() != 1 || tm.Total() != d {
-		t.Fatalf("timer count=%d total=%v, want 1 and %v", tm.Count(), tm.Total(), d)
-	}
-}
-
-// TestSpanInertWhenDisabled: with the sink disabled an observed span
-// records nothing.
-func TestSpanInertWhenDisabled(t *testing.T) {
+// TestHistogramGaugeInertWhenDisabled: with the sink disabled, histogram
+// observations and gauge updates record nothing, the same contract
+// TestCounterDisabledByDefault pins for counters.
+func TestHistogramGaugeInertWhenDisabled(t *testing.T) {
 	Reset()
-	tm := NewTimer("test.timer.disabled")
-	tm.Observe(time.Millisecond)
-	if tm.Count() != 0 || tm.Total() != 0 {
-		t.Fatal("disabled timer recorded")
+	h := NewHistogram("test.hist.disabled", 1, 10)
+	h.Observe(5)
+	g := NewGauge("test.gauge.disabled")
+	g.Set(7)
+	g.SetMax(9)
+	if h.Count() != 0 || h.Sum() != 0 || h.snapshot().Buckets[1] != 0 {
+		t.Fatalf("disabled histogram recorded: count=%d sum=%d", h.Count(), h.Sum())
+	}
+	if g.Value() != 0 {
+		t.Fatalf("disabled gauge = %d, want 0", g.Value())
 	}
 }
 
@@ -200,7 +192,6 @@ func TestWritePrometheusFormat(t *testing.T) {
 	NewCounter("test.prom.counter").Add(3)
 	NewGauge("test.prom.gauge").Set(4)
 	NewHistogram("test.prom.hist", 1, 10).Observe(5)
-	NewTimer("test.prom.timer").Observe(2 * time.Millisecond)
 	var buf bytes.Buffer
 	if err := WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
@@ -214,7 +205,6 @@ func TestWritePrometheusFormat(t *testing.T) {
 		"lhg_test_prom_hist_bucket{le=\"10\"} 1",
 		"lhg_test_prom_hist_bucket{le=\"+Inf\"} 1",
 		"lhg_test_prom_hist_count 1",
-		"lhg_test_prom_timer_seconds_count 1",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("prometheus output missing %q:\n%s", want, out)

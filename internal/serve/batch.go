@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"sync"
-	"time"
 
 	"lhg/internal/obs"
 	"lhg/internal/obs/trace"
@@ -174,16 +173,15 @@ func (s *Server) runBatch(ctx context.Context, reqs []VerifyRequest) *BatchRespo
 // handleVerifyBatch serves POST /v1/verify?batch on a backend (or
 // standalone) server; the shard frontend intercepts the route in proxy.go.
 func (s *Server) handleVerifyBatch(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
 	done := s.track(epVerify)
 	mBatchRequests.Inc()
 	reqs, err := decodeBatch(r)
 	if err != nil {
-		done(true, start)
+		done(true)
 		writeError(w, r, badRequest(err))
 		return
 	}
 	resp := s.runBatch(r.Context(), reqs)
-	done(false, start)
+	done(false)
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -25,9 +25,8 @@ var (
 	mHitBudget  = obs.NewCounter("serve.budget.cache.hits")
 	mMissBudget = obs.NewCounter("serve.budget.cache.misses")
 	hLatBudget  = obs.NewHistogram("serve.budget.latency_us", latencyBounds...)
-	tBudget     = obs.NewTimer("serve.budget.time")
 
-	epBudget = endpoint{mReqBudget, mErrBudget, mHitBudget, mMissBudget, hLatBudget, tBudget}
+	epBudget = endpoint{mReqBudget, mErrBudget, mHitBudget, mMissBudget, hLatBudget}
 )
 
 // BudgetRequest selects one amplification analysis: the graph key fields

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
-	"time"
 )
 
 // One generic request pipeline — decode, validate, compute, envelope —
@@ -35,15 +34,14 @@ func decodeJSON(r *http.Request, v any) error {
 // classifiable to) its status and code.
 func runJSON[Req any](s *Server, ep endpoint, w http.ResponseWriter, r *http.Request,
 	fn func(ctx context.Context, req *Req) (any, error)) {
-	start := time.Now()
 	done := s.track(ep)
 	var req Req
 	if err := decodeJSON(r, &req); err != nil {
-		done(true, start)
+		done(true)
 		writeError(w, r, badRequest(err))
 		return
 	}
-	runChecked(s, w, r, &req, fn, done, start)
+	runChecked(s, w, r, &req, fn, done)
 }
 
 // runQuery is the GET pipeline: parse maps the query string onto a Req
@@ -51,33 +49,32 @@ func runJSON[Req any](s *Server, ep endpoint, w http.ResponseWriter, r *http.Req
 func runQuery[Req any](s *Server, ep endpoint, w http.ResponseWriter, r *http.Request,
 	parse func(r *http.Request) (*Req, error),
 	fn func(ctx context.Context, req *Req) (any, error)) {
-	start := time.Now()
 	done := s.track(ep)
 	req, err := parse(r)
 	if err != nil {
-		done(true, start)
+		done(true)
 		writeError(w, r, badRequest(err))
 		return
 	}
-	runChecked(s, w, r, req, fn, done, start)
+	runChecked(s, w, r, req, fn, done)
 }
 
 func runChecked[Req any](s *Server, w http.ResponseWriter, r *http.Request, req *Req,
 	fn func(ctx context.Context, req *Req) (any, error),
-	done func(failed bool, start time.Time), start time.Time) {
+	done func(failed bool)) {
 	if v, ok := any(req).(validatable); ok {
 		if err := v.check(); err != nil {
-			done(true, start)
+			done(true)
 			writeError(w, r, badRequest(err))
 			return
 		}
 	}
 	resp, err := fn(r.Context(), req)
 	if err != nil {
-		done(true, start)
+		done(true)
 		writeError(w, r, err)
 		return
 	}
-	done(false, start)
+	done(false)
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -35,10 +35,9 @@ var (
 	mHitReconfig  = obs.NewCounter("serve.reconfigure.cache.hits")
 	mMissReconfig = obs.NewCounter("serve.reconfigure.cache.misses")
 	hLatReconfig  = obs.NewHistogram("serve.reconfigure.latency_us", latencyBounds...)
-	tReconfig     = obs.NewTimer("serve.reconfigure.time")
 	gSessions     = obs.NewGauge("serve.reconfigure.sessions")
 
-	epReconfig = endpoint{mReqReconfig, mErrReconfig, mHitReconfig, mMissReconfig, hLatReconfig, tReconfig}
+	epReconfig = endpoint{mReqReconfig, mErrReconfig, mHitReconfig, mMissReconfig, hLatReconfig}
 )
 
 // errEpochConflict maps to HTTP 409: the session advanced between the

@@ -21,9 +21,10 @@ import (
 )
 
 // Service telemetry, one family per endpoint plus the shared cache and
-// singleflight counters. Latency histograms are bucketed in microseconds so
-// the sub-millisecond cache-hit path is visible; timers accumulate totals
-// for the JSON report.
+// singleflight counters. Each request is timed once, into its route's
+// latency histogram; the histograms are bucketed in microseconds so the
+// sub-millisecond cache-hit path is visible, and their sum/count carry the
+// route's total time and successful request count.
 var (
 	mReqBuild  = obs.NewCounter("serve.build.requests")
 	mReqVerify = obs.NewCounter("serve.verify.requests")
@@ -48,9 +49,6 @@ var (
 	hLatBuild     = obs.NewHistogram("serve.build.latency_us", latencyBounds...)
 	hLatVerify    = obs.NewHistogram("serve.verify.latency_us", latencyBounds...)
 	hLatFlood     = obs.NewHistogram("serve.flood.latency_us", latencyBounds...)
-	tBuild        = obs.NewTimer("serve.build.time")
-	tVerify       = obs.NewTimer("serve.verify.time")
-	tFlood        = obs.NewTimer("serve.flood.time")
 )
 
 // endpoint bundles the per-endpoint metric handles.
@@ -58,13 +56,12 @@ type endpoint struct {
 	requests, errors *obs.Counter
 	hits, misses     *obs.Counter
 	latency          *obs.Histogram
-	timer            *obs.Timer
 }
 
 var (
-	epBuild  = endpoint{mReqBuild, mErrBuild, mHitBuild, mMissBuild, hLatBuild, tBuild}
-	epVerify = endpoint{mReqVerify, mErrVerify, mHitVerify, mMissVerify, hLatVerify, tVerify}
-	epFlood  = endpoint{mReqFlood, mErrFlood, mHitFlood, mMissFlood, hLatFlood, tFlood}
+	epBuild  = endpoint{mReqBuild, mErrBuild, mHitBuild, mMissBuild, hLatBuild}
+	epVerify = endpoint{mReqVerify, mErrVerify, mHitVerify, mMissVerify, hLatVerify}
+	epFlood  = endpoint{mReqFlood, mErrFlood, mHitFlood, mMissFlood, hLatFlood}
 )
 
 // Options configures a Server. The zero value is usable: background base
@@ -592,19 +589,20 @@ func (s *Server) getGraph(ctx context.Context, c lhg.Constraint, br *BuildReques
 	return v.(*lhg.Graph), cached, nil
 }
 
-// track opens the per-request instrumentation; the returned func closes it.
-func (s *Server) track(ep endpoint) func(failed bool, start time.Time) {
+// track opens the per-request instrumentation and starts the request's
+// one clock; the returned func closes it, recording a success's latency
+// into the route histogram or counting a failure.
+func (s *Server) track(ep endpoint) (done func(failed bool)) {
+	start := time.Now()
 	ep.requests.Inc()
 	gInflight.Set(s.inflight.Add(1))
-	return func(failed bool, start time.Time) {
+	return func(failed bool) {
 		gInflight.Set(s.inflight.Add(-1))
 		if failed {
 			ep.errors.Inc()
 			return
 		}
-		d := time.Since(start)
-		ep.latency.Observe(d.Microseconds())
-		ep.timer.Observe(d)
+		ep.latency.Observe(time.Since(start).Microseconds())
 	}
 }
 

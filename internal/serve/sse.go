@@ -205,30 +205,29 @@ func queryInt(v string) (int, error) {
 
 // handleVerifyStream serves GET /v1/verify?stream.
 func (s *Server) handleVerifyStream(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
 	done := s.track(epVerify)
 	req, err := parseVerifyQuery(r)
 	if err != nil {
-		done(true, start)
+		done(true)
 		writeError(w, r, badRequest(err))
 		return
 	}
 	c, err := req.validate()
 	if err != nil {
-		done(true, start)
+		done(true)
 		writeError(w, r, badRequest(err))
 		return
 	}
 	props, err := parseProperties(req.Properties)
 	if err != nil {
-		done(true, start)
+		done(true)
 		writeError(w, r, badRequest(err))
 		return
 	}
 	key := verifyKey(req.graphKey(c), props)
 	f := s.verifyFeed(key, c, req, props)
 	s.serveStream(w, r, f)
-	done(false, start)
+	done(false)
 }
 
 // verifyFeed returns the live feed for a streamed verify key, launching

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"net/http"
-	"time"
 
 	"lhg/internal/obs/trace"
 )
@@ -33,11 +32,10 @@ func (s *Server) traced(next http.Handler) http.Handler {
 			w.Header().Set("X-Trace-Id", sp.TraceID().String())
 			w.Header().Set("Traceparent", trace.Traceparent(sp.TraceID(), sp.ID()))
 		}
-		start := time.Now()
 		next.ServeHTTP(w, r.WithContext(ctx))
-		sp.End()
+		d := sp.End()
 		s.log.DebugContext(ctx, "request",
 			"method", r.Method, "path", r.URL.Path,
-			"dur_ms", float64(time.Since(start))/1e6)
+			"dur_ms", float64(d)/1e6)
 	})
 }

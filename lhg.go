@@ -606,14 +606,15 @@ func topologyFunc(c Constraint) func(n, k int) (*Graph, error) {
 }
 
 // Observability. The library carries an always-compiled metrics layer
-// (counters, gauges, histograms, phase timers) over every hot path:
-// verification phases and probe counts, max-flow augmenting paths,
-// scratch/network pool recycling, flood messages/duplicates/latency, and
-// socket-cluster traffic. The sink is off by default and costs one atomic
-// load per update; EnableMetrics turns it on process-wide.
+// (counters, gauges, histograms) over every hot path: verification runs
+// and probe counts, max-flow augmenting paths, scratch/network pool
+// recycling, flood messages/duplicates/latency, and socket-cluster
+// traffic. The sink is off by default and costs one atomic load per
+// update; EnableMetrics turns it on process-wide. Phase times are not
+// metrics: they are Report.Phases and the phase spans of a trace.
 
 // EnableMetrics turns the metrics sink on: instrumented code starts
-// accumulating counters, histograms and phase timers.
+// accumulating counters, gauges and histograms.
 func EnableMetrics() { obs.Enable() }
 
 // DisableMetrics turns the metrics sink off. Accumulated values are kept
@@ -631,7 +632,7 @@ func ResetMetrics() { obs.Reset() }
 func MetricsCounters() map[string]int64 { return obs.Counters() }
 
 // WriteMetricsJSON dumps the full metrics snapshot (counters, gauges,
-// histograms, timers, run metadata) as indented JSON.
+// histograms, run metadata) as indented JSON.
 func WriteMetricsJSON(w io.Writer) error { return obs.WriteJSON(w) }
 
 // WriteMetricsPrometheus renders the metrics in the Prometheus text
