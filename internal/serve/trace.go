@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"log/slog"
 	"net/http"
+	"time"
 
 	"lhg/internal/obs/trace"
 )
@@ -12,14 +14,22 @@ import (
 // response always carries both the id (X-Trace-Id, the grep handle) and a
 // standards-shaped Traceparent header naming the server-side span, so a
 // client can stitch the hop into its own trace. When tracing is disabled
-// the middleware is a single atomic load.
+// and the logger drops Debug records the middleware reads no clock and
+// makes no log call.
 
 // traced wraps next with the per-request root span and structured access
-// log.
+// log. The access log writes one Debug line per request whether or not
+// tracing is on; without tracing the request is timed by the clock.
 func (s *Server) traced(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if !trace.Enabled() {
+			if !s.log.Enabled(r.Context(), slog.LevelDebug) {
+				next.ServeHTTP(w, r)
+				return
+			}
+			t0 := time.Now()
 			next.ServeHTTP(w, r)
+			s.logRequest(r, time.Since(t0))
 			return
 		}
 		var opts []trace.RootOption
@@ -32,10 +42,15 @@ func (s *Server) traced(next http.Handler) http.Handler {
 			w.Header().Set("X-Trace-Id", sp.TraceID().String())
 			w.Header().Set("Traceparent", trace.Traceparent(sp.TraceID(), sp.ID()))
 		}
-		next.ServeHTTP(w, r.WithContext(ctx))
-		d := sp.End()
-		s.log.DebugContext(ctx, "request",
-			"method", r.Method, "path", r.URL.Path,
-			"dur_ms", float64(d)/1e6)
+		r = r.WithContext(ctx)
+		next.ServeHTTP(w, r)
+		s.logRequest(r, sp.End())
 	})
+}
+
+// logRequest writes the access-log line of one request that took d.
+func (s *Server) logRequest(r *http.Request, d time.Duration) {
+	s.log.DebugContext(r.Context(), "request",
+		"method", r.Method, "path", r.URL.Path,
+		"dur_ms", float64(d)/1e6)
 }

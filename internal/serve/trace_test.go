@@ -3,11 +3,13 @@ package serve
 import (
 	"bytes"
 	"encoding/hex"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"lhg/internal/obs"
 	"lhg/internal/obs/trace"
 )
 
@@ -119,6 +121,45 @@ func TestDebugTraceEndpoint(t *testing.T) {
 	for _, want := range []string{"check.kappa", "serve.campaign", `"ph":"X"`} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("/debug/trace export missing %q", want)
+		}
+	}
+}
+
+// TestAccessLogWithoutTracing: with tracing off, a Debug logger still gets
+// exactly one request line per request, with method, path and duration,
+// and an Info logger gets none.
+func TestAccessLogWithoutTracing(t *testing.T) {
+	trace.Disable()
+	t.Cleanup(trace.Enable)
+	for _, tc := range []struct {
+		level slog.Level
+		lines int
+	}{{slog.LevelDebug, 2}, {slog.LevelInfo, 0}} {
+		var buf bytes.Buffer // read only after ts.Close waits for the handlers
+		ts := newTestServer(t, Options{CacheSize: 16, Logger: obs.NewLogger(&buf, tc.level)})
+		for range 2 {
+			resp, err := http.Post(ts.URL+"/v1/build", "application/json",
+				bytes.NewBufferString(`{"constraint":"kdiamond","n":20,"k":3}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+		}
+		ts.Close()
+		var got int
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if !strings.Contains(line, "msg=request") {
+				continue
+			}
+			got++
+			for _, want := range []string{"method=POST", "path=/v1/build", "dur_ms="} {
+				if !strings.Contains(line, want) {
+					t.Fatalf("level %v: access line %q lacks %q", tc.level, line, want)
+				}
+			}
+		}
+		if got != tc.lines {
+			t.Fatalf("level %v: %d access lines, want %d:\n%s", tc.level, got, tc.lines, buf.String())
 		}
 	}
 }
