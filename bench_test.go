@@ -618,13 +618,13 @@ func BenchmarkConnectivity(b *testing.B) {
 func BenchmarkGrowerJoin(b *testing.B) {
 	for _, tc := range []struct {
 		name string
-		mk   func() (overlay.Grower, error)
+		at   func(k, n int) (lhg.Reconfigurer, error)
 	}{
-		{name: "ktree", mk: func() (overlay.Grower, error) { return lhg.NewKTreeGrower(4) }},
-		{name: "kdiamond", mk: func() (overlay.Grower, error) { return lhg.NewKDiamondGrower(4) }},
+		{name: "ktree", at: lhg.NewKTreeGrowerAt},
+		{name: "kdiamond", at: lhg.NewKDiamondGrowerAt},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			gr, err := tc.mk()
+			gr, err := tc.at(4, 8)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -41,13 +41,13 @@ func runE15(w io.Writer) error {
 	// Incremental mode (the extension).
 	growers := []struct {
 		name string
-		mk   func() (overlay.Grower, error)
+		mk   func(k, n int) (lhg.Reconfigurer, error)
 	}{
-		{name: "incremental/ktree", mk: func() (overlay.Grower, error) { return lhg.NewKTreeGrower(k) }},
-		{name: "incremental/kdiamond", mk: func() (overlay.Grower, error) { return lhg.NewKDiamondGrower(k) }},
+		{name: "incremental/ktree", mk: lhg.NewKTreeGrowerAt},
+		{name: "incremental/kdiamond", mk: lhg.NewKDiamondGrowerAt},
 	}
 	for _, tc := range growers {
-		gr, err := tc.mk()
+		gr, err := tc.mk(k, 2*k)
 		if err != nil {
 			return err
 		}

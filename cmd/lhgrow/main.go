@@ -29,6 +29,7 @@ import (
 	"os"
 
 	"lhg"
+	"lhg/internal/core"
 	"lhg/internal/obs"
 )
 
@@ -72,12 +73,12 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	var gr lhg.Reconfigurer
+	var gr *core.Grower
 	switch *constraint {
 	case "ktree":
-		gr, err = lhg.NewKTreeGrower(*k)
+		gr, err = lhg.NewKTreeGrowerAt(*k, 2*(*k))
 	case "kdiamond":
-		gr, err = lhg.NewKDiamondGrower(*k)
+		gr, err = lhg.NewKDiamondGrowerAt(*k, 2*(*k))
 	default:
 		return fmt.Errorf("unknown grower %q (want ktree or kdiamond)", *constraint)
 	}
@@ -180,7 +181,7 @@ func (s *churnStats) record(d lhg.EdgeDelta) {
 	}
 }
 
-func (s *churnStats) print(out io.Writer, constraint string, k int, ops []lhg.Change, gr lhg.Reconfigurer) {
+func (s *churnStats) print(out io.Writer, constraint string, k int, ops []lhg.Change, gr *core.Grower) {
 	joins, leaves := 0, 0
 	for _, op := range ops {
 		if op == lhg.ChangeJoin {

@@ -68,10 +68,10 @@ func ExampleRegular() {
 	// true
 }
 
-// ExampleNewKDiamondGrower grows an overlay one node at a time; the
+// ExampleNewKDiamondGrowerAt grows an overlay one node at a time; the
 // topology is a valid LHG after every step.
-func ExampleNewKDiamondGrower() {
-	gr, err := lhg.NewKDiamondGrower(3)
+func ExampleNewKDiamondGrowerAt() {
+	gr, err := lhg.NewKDiamondGrowerAt(3, 6)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -18,7 +18,7 @@ import (
 func main() {
 	const k = 4
 
-	gr, err := lhg.NewKDiamondGrower(k)
+	gr, err := lhg.NewKDiamondGrowerAt(k, 2*k)
 	if err != nil {
 		log.Fatal(err)
 	}

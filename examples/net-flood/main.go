@@ -68,7 +68,7 @@ func main() {
 	// applying the incremental grower's link surgery to the running
 	// sockets, then flood again.
 	fmt.Println("\nlive growth: admitting 5 more processes via grower deltas on live connections")
-	gr, err := lhg.NewKDiamondGrower(k)
+	gr, err := lhg.NewKDiamondGrowerAt(k, 2*k)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func reportsMatch(t *testing.T, tag string, got, want *Report) {
 
 // churnEngine pairs a grower with a DeltaVerifier and drives both through a
 // batch, returning the delta-derived and the fresh full report.
-func advanceBoth(t *testing.T, gr core.Reconfigurer, dv *DeltaVerifier, batch []core.Change, opt Options) (*Report, *Report) {
+func advanceBoth(t *testing.T, gr *core.Grower, dv *DeltaVerifier, batch []core.Change, opt Options) (*Report, *Report) {
 	t.Helper()
 	d, err := gr.Apply(batch)
 	if err != nil {
@@ -55,13 +55,11 @@ func TestDeltaVerifierMatchesFullUnderChurn(t *testing.T) {
 	}
 	for _, name := range []string{"ktree", "kdiamond"} {
 		k := 3
-		var gr core.Reconfigurer
-		var err error
-		if name == "ktree" {
-			gr, err = core.NewKTreeGrowerAt(k, 18)
-		} else {
-			gr, err = core.NewKDiamondGrowerAt(k, 18)
+		at := core.NewKTreeGrowerAt
+		if name == "kdiamond" {
+			at = core.NewKDiamondGrowerAt
 		}
+		gr, err := at(k, 18)
 		if err != nil {
 			t.Fatal(err)
 		}

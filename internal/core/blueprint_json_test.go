@@ -102,11 +102,11 @@ func TestBlueprintJSONRejectsCorruption(t *testing.T) {
 // sequence, edge count, diameter and connectivity.
 func TestGrowerIsomorphicInvariants(t *testing.T) {
 	k := 3
-	ktg, err := NewKTreeGrower(k)
+	ktg, err := NewKTreeGrowerAt(k, 2*k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	kdg, err := NewKDiamondGrower(k)
+	kdg, err := NewKDiamondGrowerAt(k, 2*k)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,9 +36,9 @@ func ExampleExistsJD() {
 	// Output: false true
 }
 
-// ExampleNewKTreeGrower admits two nodes incrementally.
-func ExampleNewKTreeGrower() {
-	gr, err := core.NewKTreeGrower(3)
+// ExampleNewKTreeGrowerAt admits two nodes incrementally.
+func ExampleNewKTreeGrowerAt() {
+	gr, err := core.NewKTreeGrowerAt(3, 6)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,33 +5,24 @@ import (
 	"testing"
 
 	"lhg/internal/check"
-	"lhg/internal/graph"
 )
 
-// grower abstracts the two incremental builders for shared test logic.
-type grower interface {
-	Grow() (EdgeDelta, error)
-	Graph() *graph.Graph
-	N() int
-	K() int
-}
+// growerFamilies lists the constructors of both families.
+var growerFamilies = []func(k, n int) (*Grower, error){NewKTreeGrowerAt, NewKDiamondGrowerAt}
 
 func TestGrowerConstructorsRejectSmallK(t *testing.T) {
-	if _, err := NewKTreeGrower(2); err == nil {
+	if _, err := NewKTreeGrowerAt(2, 4); err == nil {
 		t.Fatal("k=2 must be rejected")
 	}
-	if _, err := NewKDiamondGrower(2); err == nil {
+	if _, err := NewKDiamondGrowerAt(2, 4); err == nil {
 		t.Fatal("k=2 must be rejected")
 	}
 }
 
 func TestGrowerInitialGraphIsMinimalLHG(t *testing.T) {
 	for _, k := range []int{3, 4, 5} {
-		for _, mk := range []func(int) (grower, error){
-			func(k int) (grower, error) { return NewKTreeGrower(k) },
-			func(k int) (grower, error) { return NewKDiamondGrower(k) },
-		} {
-			gr, err := mk(k)
+		for _, at := range growerFamilies {
+			gr, err := at(k, 2*k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -55,7 +46,7 @@ func TestGrowerInitialGraphIsMinimalLHG(t *testing.T) {
 // k-regular exactly on the Theorem 3 grid.
 func TestKTreeGrowerEveryStepIsLHG(t *testing.T) {
 	for _, k := range []int{3, 4} {
-		gr, err := NewKTreeGrower(k)
+		gr, err := NewKTreeGrowerAt(k, 2*k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +75,7 @@ func TestKTreeGrowerEveryStepIsLHG(t *testing.T) {
 // exactly on the denser Theorem 6 grid.
 func TestKDiamondGrowerEveryStepIsLHG(t *testing.T) {
 	for _, k := range []int{3, 4} {
-		gr, err := NewKDiamondGrower(k)
+		gr, err := NewKDiamondGrowerAt(k, 2*k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,11 +105,11 @@ func TestKDiamondGrowerEveryStepIsLHG(t *testing.T) {
 // by construction; counting is the cheap invariant to assert).
 func TestGrowerNodeCountMatchesCanonical(t *testing.T) {
 	k := 3
-	ktg, err := NewKTreeGrower(k)
+	ktg, err := NewKTreeGrowerAt(k, 2*k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	kdg, err := NewKDiamondGrower(k)
+	kdg, err := NewKDiamondGrowerAt(k, 2*k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,11 +148,8 @@ func TestGrowerNodeCountMatchesCanonical(t *testing.T) {
 func TestGrowerChurnIsSizeIndependent(t *testing.T) {
 	k := 4
 	bound := 3 * k * k // loose O(k²) cap
-	for _, mk := range []func() (grower, error){
-		func() (grower, error) { return NewKTreeGrower(k) },
-		func() (grower, error) { return NewKDiamondGrower(k) },
-	} {
-		gr, err := mk()
+	for _, at := range growerFamilies {
+		gr, err := at(k, 2*k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,7 +168,7 @@ func TestGrowerChurnIsSizeIndependent(t *testing.T) {
 // TestGrowerDeltaMatchesGraph: applying the reported delta to the previous
 // snapshot reproduces the new snapshot exactly.
 func TestGrowerDeltaMatchesGraph(t *testing.T) {
-	gr, err := NewKDiamondGrower(3)
+	gr, err := NewKDiamondGrowerAt(3, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +209,7 @@ func TestGrowerDeltaMatchesGraph(t *testing.T) {
 // TestGrowerStableIDs: once admitted, a node keeps its id and never loses
 // connectivity to the rest of the overlay.
 func TestGrowerStableIDs(t *testing.T) {
-	gr, err := NewKTreeGrower(3)
+	gr, err := NewKTreeGrowerAt(3, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +232,7 @@ func TestGrowerStableIDs(t *testing.T) {
 // still within the logarithmic bound.
 func TestGrowerLongRunDiameter(t *testing.T) {
 	k := 3
-	gr, err := NewKDiamondGrower(k)
+	gr, err := NewKDiamondGrowerAt(k, 2*k)
 	if err != nil {
 		t.Fatal(err)
 	}

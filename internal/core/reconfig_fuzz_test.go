@@ -18,7 +18,7 @@ import (
 //
 // The seed corpus pins the known-dangerous schedules: pure joins, pure
 // leaves after a ramp, strict alternation, and leaves landing exactly on
-// the batch boundaries j = 2k−3 (K-TREE restructure) and j = k−2
+// the batch boundaries j = 2k−3 (K-TREE promotion) and j = k−2
 // (K-DIAMOND form/dissolve).
 func FuzzReconfigureEquivFresh(f *testing.F) {
 	f.Add(uint8(3), uint8(0), []byte{1, 1, 1, 1, 1, 1, 1, 1})       // pure joins
@@ -33,28 +33,11 @@ func FuzzReconfigureEquivFresh(f *testing.F) {
 		if len(ops) > 64 {
 			ops = ops[:64]
 		}
-		var gr Reconfigurer
-		var fresh func(n int) Reconfigurer
-		var err error
-		if which%2 == 0 {
-			gr, err = NewKTreeGrower(k)
-			fresh = func(n int) Reconfigurer {
-				g, err := NewKTreeGrowerAt(k, n)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return g
-			}
-		} else {
-			gr, err = NewKDiamondGrower(k)
-			fresh = func(n int) Reconfigurer {
-				g, err := NewKDiamondGrowerAt(k, n)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return g
-			}
+		at := NewKTreeGrowerAt
+		if which%2 == 1 {
+			at = NewKDiamondGrowerAt
 		}
+		gr, err := at(k, 2*k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +67,10 @@ func FuzzReconfigureEquivFresh(f *testing.F) {
 			}
 			leaves++
 		}
-		ref := fresh(gr.N())
+		ref, err := at(k, gr.N())
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !graphsEqual(gr.Graph(), ref.Graph()) {
 			t.Fatalf("k=%d after %d joins / %d leaves: churned graph differs from fresh build at n=%d",
 				k, joins, leaves, gr.N())

@@ -9,10 +9,10 @@ import (
 
 // reconfigurers enumerates the churn-engine factories for shared test
 // logic, keyed by constraint name.
-func reconfigurers(k int) map[string]func() (Reconfigurer, error) {
-	return map[string]func() (Reconfigurer, error){
-		"ktree":    func() (Reconfigurer, error) { return NewKTreeGrower(k) },
-		"kdiamond": func() (Reconfigurer, error) { return NewKDiamondGrower(k) },
+func reconfigurers(k int) map[string]func() (*Grower, error) {
+	return map[string]func() (*Grower, error){
+		"ktree":    func() (*Grower, error) { return NewKTreeGrowerAt(k, 2*k) },
+		"kdiamond": func() (*Grower, error) { return NewKDiamondGrowerAt(k, 2*k) },
 	}
 }
 
@@ -38,7 +38,7 @@ func TestShrinkInvertsGrow(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			steps := 6*k + 5 // covers several restructure / form+dissolve cycles
+			steps := 6*k + 5 // covers several promote / form+dissolve cycles
 			snaps := []*graph.Graph{gr.Graph()}
 			for i := 0; i < steps; i++ {
 				if _, err := gr.Grow(); err != nil {
@@ -262,7 +262,7 @@ func TestApplyBatchNetDelta(t *testing.T) {
 // TestApplyStopsAtError: a batch that underflows the minimal size returns
 // the delta of the completed prefix along with the error.
 func TestApplyStopsAtError(t *testing.T) {
-	gr, err := NewKTreeGrower(3)
+	gr, err := NewKTreeGrowerAt(3, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestNewGrowerAtMatchesStepwise(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		step, err := NewKTreeGrower(k)
+		step, err := NewKTreeGrowerAt(k, 2*k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -305,7 +305,7 @@ func TestNewGrowerAtMatchesStepwise(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dstep, err := NewKDiamondGrower(k)
+		dstep, err := NewKDiamondGrowerAt(k, 2*k)
 		if err != nil {
 			t.Fatal(err)
 		}

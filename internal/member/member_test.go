@@ -8,13 +8,9 @@ import (
 	"lhg/internal/core"
 )
 
-func kdiamondEngine(k, n int) (core.Reconfigurer, error) {
-	return core.NewKDiamondGrowerAt(k, n)
-}
-
 func newSystem(t *testing.T, k, n int) *System {
 	t.Helper()
-	s, err := New(k, n, kdiamondEngine)
+	s, err := New(k, n, core.NewKDiamondGrowerAt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +21,7 @@ func TestNewErrors(t *testing.T) {
 	if _, err := New(3, 10, nil); err == nil {
 		t.Fatal("nil engine must error")
 	}
-	if _, err := New(3, 4, kdiamondEngine); err == nil {
+	if _, err := New(3, 4, core.NewKDiamondGrowerAt); err == nil {
 		t.Fatal("n < 2k must error")
 	}
 }

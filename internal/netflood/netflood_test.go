@@ -244,7 +244,7 @@ func TestLiveGrowthOverTCP(t *testing.T) {
 	// minimal (2k,k) overlay and admit nodes one at a time by applying the
 	// grower's edge deltas to live connections.
 	const k = 3
-	gr, err := core.NewKTreeGrower(k)
+	gr, err := core.NewKTreeGrowerAt(k, 2*k)
 	if err != nil {
 		t.Fatal(err)
 	}

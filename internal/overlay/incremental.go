@@ -8,29 +8,16 @@ import (
 	"lhg/internal/graph"
 )
 
-// Grower is the incremental-maintenance contract implemented by
-// core.KTreeGrower and core.KDiamondGrower — an alias of core.Reconfigurer
-// (the name survives from the join-only era): one admission per Grow,
-// one departure per Shrink, batched churn via Apply, all with O(k²) edge
-// surgery per event, stable node ids, and an LHG-valid topology after
-// every step.
-type Grower = core.Reconfigurer
-
-var (
-	_ Grower = (*core.KTreeGrower)(nil)
-	_ Grower = (*core.KDiamondGrower)(nil)
-)
-
 // Incremental is an overlay maintained by graph surgery instead of
 // canonical rebuilds: joins AND leaves cost a constant (in n) number of
 // link edits — see experiments E15 and E27. Compared to Overlay, churn
 // figures here are exact edit counts of the surgery actually issued.
 type Incremental struct {
-	gr Grower
+	gr *core.Grower
 }
 
 // NewIncremental wraps a churn engine as an overlay.
-func NewIncremental(gr Grower) (*Incremental, error) {
+func NewIncremental(gr *core.Grower) (*Incremental, error) {
 	if gr == nil {
 		return nil, fmt.Errorf("overlay: nil grower")
 	}

@@ -59,7 +59,7 @@ func TestIncrementalApplyNetChurn(t *testing.T) {
 		t.Fatalf("net-growth batch churn %+v size %d", c, o.Size())
 	}
 	// Leaves at the floor fail and report the completed prefix.
-	floor, err := core.NewKTreeGrower(3)
+	floor, err := core.NewKTreeGrowerAt(3, 6)
 	if err != nil {
 		t.Fatal(err)
 	}

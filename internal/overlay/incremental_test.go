@@ -16,7 +16,7 @@ func TestNewIncrementalRejectsNil(t *testing.T) {
 }
 
 func TestIncrementalJoinAccounting(t *testing.T) {
-	gr, err := core.NewKTreeGrower(3)
+	gr, err := core.NewKTreeGrowerAt(3, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestIncrementalChurnBeatsRebuildAtScale(t *testing.T) {
 	// churn: incremental stays O(k²), rebuild relabels a chunk of the
 	// graph.
 	k := 3
-	gr, err := core.NewKDiamondGrower(k)
+	gr, err := core.NewKDiamondGrowerAt(k, 2*k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestIncrementalChurnBeatsRebuildAtScale(t *testing.T) {
 }
 
 func TestIncrementalBroadcastSurvivesFailures(t *testing.T) {
-	gr, err := core.NewKDiamondGrower(4)
+	gr, err := core.NewKDiamondGrowerAt(4, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestIncrementalBroadcastSurvivesFailures(t *testing.T) {
 }
 
 func TestIncrementalStaysLHGUnderLongGrowth(t *testing.T) {
-	gr, err := core.NewKTreeGrower(3)
+	gr, err := core.NewKTreeGrowerAt(3, 6)
 	if err != nil {
 		t.Fatal(err)
 	}

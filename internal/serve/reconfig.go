@@ -10,14 +10,14 @@ import (
 	"sync"
 
 	"lhg"
+	"lhg/internal/core"
 	"lhg/internal/obs"
 	"lhg/internal/obs/trace"
 )
 
 // POST /v1/reconfigure — stateful topology sessions.
 //
-// A session is a named live topology: a churn engine (core.Reconfigurer via
-// the lhg facade) plus a DeltaVerifier holding the current epoch's report.
+// A session is a named live topology: a churn engine (core.Grower) plus a DeltaVerifier holding the current epoch's report.
 // Each request applies a batch of {joins, leaves}, returns the NET edge
 // surgery of the batch and the re-verified report, and bumps the epoch.
 //
@@ -60,7 +60,7 @@ type topoSession struct {
 
 	mu         sync.Mutex
 	constraint lhg.Constraint
-	engine     lhg.Reconfigurer
+	engine     *core.Grower
 	verifier   *lhg.DeltaVerifier
 	epoch      int
 	broken     bool
@@ -100,7 +100,7 @@ type ReconfigureResponse struct {
 	Report     *lhg.Report `json:"report"`
 }
 
-func (rr *ReconfigureRequest) validate() error {
+func (rr *ReconfigureRequest) check() error {
 	if strings.TrimSpace(rr.Session) == "" {
 		return fmt.Errorf("serve: reconfigure needs a session name")
 	}
@@ -120,8 +120,6 @@ func (rr *ReconfigureRequest) validate() error {
 	}
 	return nil
 }
-
-func (rr *ReconfigureRequest) check() error { return rr.validate() }
 
 // session returns the named live session, creating it from req on first
 // use. Creation runs the full baseline verification; concurrent creators
@@ -172,7 +170,7 @@ func (sess *topoSession) init(s *Server, req *ReconfigureRequest) error {
 	if err != nil {
 		return err
 	}
-	var engine lhg.Reconfigurer
+	var engine *core.Grower
 	switch c {
 	case lhg.KTree:
 		engine, err = lhg.NewKTreeGrowerAt(req.K, req.N)

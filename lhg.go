@@ -485,32 +485,18 @@ func FloodBudget(ctx context.Context, g *Graph, source, k int, policy RetryPolic
 }
 
 // Incremental maintenance: the constructive procedures inside the proofs
-// of Theorems 2 and 5, exposed as join-only growers. Each Grow admits one
-// node with O(k²) edge churn (independent of n) and the topology satisfies
-// every LHG property after every single step.
+// of Theorems 2 and 5, run as one churn engine. Grow admits one node and
+// Shrink retires the youngest by the inverse surgery, each with O(k²) edge
+// churn (independent of n); Apply merges a batch of both into one net edge
+// delta. The topology satisfies every LHG property after every single step.
 type (
-	// KTreeGrower grows a K-TREE LHG one node at a time.
-	KTreeGrower = core.KTreeGrower
-	// KDiamondGrower grows a K-DIAMOND LHG one node at a time.
-	KDiamondGrower = core.KDiamondGrower
-	// EdgeDelta is the edge surgery performed by one growth step.
+	// Reconfigurer is the churn engine of both constructions, returned by
+	// NewKTreeGrowerAt and NewKDiamondGrowerAt. It is an alias of the one
+	// engine type, not an interface: the separate lhgbench module declares
+	// fields of this type, so the name stays.
+	Reconfigurer = *core.Grower
+	// EdgeDelta is the edge surgery performed by one step or batch.
 	EdgeDelta = core.EdgeDelta
-)
-
-// NewKTreeGrower starts an incremental K-TREE overlay at its minimum size
-// 2k.
-func NewKTreeGrower(k int) (*KTreeGrower, error) { return core.NewKTreeGrower(k) }
-
-// NewKDiamondGrower starts an incremental K-DIAMOND overlay at its minimum
-// size 2k.
-func NewKDiamondGrower(k int) (*KDiamondGrower, error) { return core.NewKDiamondGrower(k) }
-
-// Delta reconfiguration: both growers implement the full churn-engine
-// contract — Grow (join), Shrink (leave, the proofs' inverse surgery) and
-// Apply (batched changes merged into one net edge delta).
-type (
-	// Reconfigurer is the churn-engine interface of the growers.
-	Reconfigurer = core.Reconfigurer
 	// Change is one membership event in a batch (ChangeJoin/ChangeLeave).
 	Change = core.Change
 )
@@ -521,11 +507,11 @@ const (
 	ChangeLeave = core.ChangeLeave
 )
 
-// NewKTreeGrowerAt fast-forwards a K-TREE engine to n nodes (n >= 2k).
-func NewKTreeGrowerAt(k, n int) (*KTreeGrower, error) { return core.NewKTreeGrowerAt(k, n) }
+// NewKTreeGrowerAt starts a K-TREE churn engine at n nodes (n >= 2k).
+func NewKTreeGrowerAt(k, n int) (Reconfigurer, error) { return core.NewKTreeGrowerAt(k, n) }
 
-// NewKDiamondGrowerAt fast-forwards a K-DIAMOND engine to n nodes (n >= 2k).
-func NewKDiamondGrowerAt(k, n int) (*KDiamondGrower, error) { return core.NewKDiamondGrowerAt(k, n) }
+// NewKDiamondGrowerAt starts a K-DIAMOND churn engine at n nodes (n >= 2k).
+func NewKDiamondGrowerAt(k, n int) (Reconfigurer, error) { return core.NewKDiamondGrowerAt(k, n) }
 
 // Router answers point-to-point routing queries from blueprint metadata
 // alone (no search, no routing tables): tree paths within a copy, junction
@@ -564,8 +550,8 @@ func BuildRouted(c Constraint, n, k int) (*Graph, *Router, error) {
 }
 
 // Overlay is a dynamic-membership topology manager (canonical rebuild per
-// change, churn accounting). See also NewKTreeGrower/NewKDiamondGrower for
-// the O(k²)-churn incremental alternative.
+// change, churn accounting). See also NewKTreeGrowerAt/NewKDiamondGrowerAt
+// for the O(k²)-churn incremental alternative.
 type Overlay = overlay.Overlay
 
 // Membership is the self-healing membership service: view changes flooded
@@ -593,9 +579,9 @@ func NewMembership(c Constraint, k, initial int) (*Membership, error) {
 func engineFunc(c Constraint) (member.EngineFunc, error) {
 	switch c {
 	case KTree:
-		return func(k, n int) (core.Reconfigurer, error) { return core.NewKTreeGrowerAt(k, n) }, nil
+		return core.NewKTreeGrowerAt, nil
 	case KDiamond:
-		return func(k, n int) (core.Reconfigurer, error) { return core.NewKDiamondGrowerAt(k, n) }, nil
+		return core.NewKDiamondGrowerAt, nil
 	default:
 		return nil, fmt.Errorf("lhg: constraint %v has no churn engine (use ktree or kdiamond)", c)
 	}

@@ -83,7 +83,7 @@ func TestScaleGrowerToThousands(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scale test")
 	}
-	gr, err := lhg.NewKDiamondGrower(4)
+	gr, err := lhg.NewKDiamondGrowerAt(4, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
